@@ -758,6 +758,7 @@ def _profile_scenario(args: argparse.Namespace, probes):
     """Instrument a registered scenario run for the profile report."""
     from repro.network.graph import NetworkError
     from repro.scenarios import get_scenario
+    from repro.sim.batch import MODEL_SPECS
 
     try:
         scen = get_scenario(args.scenario)
@@ -767,7 +768,7 @@ def _profile_scenario(args: argparse.Namespace, probes):
         (
             m
             for m in scen.models
-            if m in ("wormhole", "cut_through", "store_forward", "adaptive")
+            if m in MODEL_SPECS and MODEL_SPECS[m].telemetry
         ),
         None,
     )

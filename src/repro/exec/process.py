@@ -129,6 +129,13 @@ class ProcessPoolBackend(_StatsMixin):
 
     def _ensure_pool(self) -> ProcessPoolExecutor:
         with self._lock:
+            pool = self._pool
+        if pool is not None and self._lost_worker(pool):
+            # A worker died between units (an external kill, the OOM
+            # killer): restart now instead of running at reduced width
+            # until the executor happens to notice.
+            self._restart_pool()
+        with self._lock:
             if self._pool is None:
                 self._pool = ProcessPoolExecutor(max_workers=self.workers)
                 if self.prewarm:
@@ -137,6 +144,13 @@ class ProcessPoolBackend(_StatsMixin):
                     ]:
                         f.result()
             return self._pool
+
+    @staticmethod
+    def _lost_worker(pool: ProcessPoolExecutor) -> bool:
+        processes = pool._processes
+        return bool(processes) and not all(
+            p.is_alive() for p in list(processes.values())
+        )
 
     def _teardown_pool(self) -> None:
         """Kill the current pool outright (broken or stalled workers)."""
@@ -260,6 +274,8 @@ class ProcessPoolBackend(_StatsMixin):
             self._note_failure()
             if not self._degraded:
                 self._restart_pool()
+        else:
+            self._ensure_pool()  # restarts a worker lost during the pass
         for i in sorted(casualties):
             self.stats.counters.bump("retried")
             results[i] = self.run(fn, args[i])

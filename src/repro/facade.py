@@ -6,7 +6,12 @@ channels, buffer flits, link bandwidth, buffer slots) and its own
 ``run`` shape.  :func:`simulate` is the unified entry point: one
 ``problem``, one ``model`` name, one ``B``, and per-model defaults that
 match what the sweep runner uses — so a facade call is bit-identical
-to constructing the simulator directly with the same seed.
+to constructing the simulator directly with the same seed.  Both take
+those per-model facts (serial class, runner, knob keyword, arbitration
+default, problem shape, telemetry support) from one registry,
+:data:`repro.sim.batch.MODEL_SPECS`, and run a model only through its
+two helpers, :func:`~repro.sim.batch.run_trial` and
+:func:`~repro.sim.batch.run_trials`.
 
 Migration table — legacy entry point to facade call:
 
@@ -24,6 +29,15 @@ Legacy                                                 Facade
 ``repro.sim.wormhole.check_edge_simple`` (removed)     ``repro.sim.engine.check_edge_simple``
 ``repro.sim.cut_through.pad_paths`` (removed)          ``repro.sim.engine.pad_paths``
 ``repro.sim.restricted.check_edge_simple`` (removed)   ``repro.sim.engine.check_edge_simple``
+``run(..., record_trace=True)`` (removed)              ``run(..., telemetry=[TraceSnapshotCollector()])``; the matrix is ``collector.matrix``
+``run(..., record_contention=True)`` (removed)         ``run(..., telemetry=[EdgeContentionCollector()])``; the counts are ``collector.denied``
+``engine.legacy_record_probes`` / ``legacy_extra``     the two collectors above (removed with the kwargs)
+``engine.compat_check_edge_simple`` (removed)          ``repro.sim.engine.check_edge_simple(padded)``
+``<Simulator>._check_edge_simple`` (removed)           ``repro.sim.engine.check_edge_simple(padded)``
+``WormholeSimulator._legacy_extra`` (removed)          the collectors' ``matrix`` / ``denied``
+``repro.sim.StepLoop`` (removed)                       ``repro.sim.BatchStepLoop`` at ``T=1`` (``results()[0]``)
+``repro.sim.SlotArbiter`` (removed)                    ``repro.sim.engine.BatchSlotArbiter([n], [B])`` (one trial)
+``kernels.serial_state`` / ``serial_body`` (removed)   ``run_<model>_batch(..., seeds=[rng])[0]``
 bare ``SimulationResult`` return                       :class:`SimResult` (attribute-compatible wrapper)
 ``metrics["makespan"]`` dict access                    ``result.makespan`` (``result["makespan"]`` still works, with a ``DeprecationWarning``)
 ``metrics["steps"]``                                   ``result.steps``
@@ -68,6 +82,7 @@ from typing import Any
 import numpy as np
 
 from .network.graph import NetworkError
+from .sim.batch import BATCHED_MODELS, MODEL_SPECS, run_trial, run_trials
 from .sim.sweep import WORKLOADS, Workload, _build_workload
 
 __all__ = ["MODELS", "SIMULATE_MODES", "SimResult", "simulate"]
@@ -177,19 +192,6 @@ MODELS = (
     "continuous",
 )
 
-#: Models whose ``run`` accepts :mod:`repro.telemetry` probes.
-_TELEMETRY_MODELS = frozenset(
-    {"wormhole", "cut_through", "store_forward", "adaptive"}
-)
-
-#: Per-model arbitration default — the sweep runner's choices, so the
-#: facade and ``run_sweep`` agree on what an unadorned trial means.
-_PRIORITY_DEFAULTS = {
-    "wormhole": "random",
-    "cut_through": "random",
-    "store_forward": "farthest",
-}
-
 
 def _as_workload(problem: Any, model: str, workload_params) -> Workload:
     """Coerce any accepted ``problem`` form into a :class:`Workload`."""
@@ -205,7 +207,7 @@ def _as_workload(problem: Any, model: str, workload_params) -> Workload:
         return _build_workload(problem, tuple(sorted(params.items())))
     if isinstance(problem, tuple) and len(problem) == 2:
         first, second = problem
-        if model == "adaptive":
+        if model in MODEL_SPECS and MODEL_SPECS[model].mesh:
             return Workload(
                 net=getattr(first, "network", first),
                 cube=first,
@@ -218,242 +220,76 @@ def _as_workload(problem: Any, model: str, workload_params) -> Workload:
     )
 
 
-def _run_wormhole(
-    wl, *, B, L, seed, priority, telemetry, max_steps, release, vc_ids=None
-):
-    from .sim.wormhole import WormholeSimulator
-
-    sim = WormholeSimulator(
-        wl.net, num_virtual_channels=B, priority=priority, seed=seed
-    )
-    return sim.run(
-        wl.paths,
-        message_length=L,
-        release_times=release,
-        max_steps=max_steps,
-        vc_ids=vc_ids,
-        telemetry=telemetry,
-    )
-
-
-def _run_cut_through(wl, *, B, L, seed, priority, telemetry, max_steps, release):
-    from .sim.cut_through import CutThroughSimulator
-
-    sim = CutThroughSimulator(
-        wl.net, buffer_flits=B, priority=priority, seed=seed
-    )
-    return sim.run(
-        wl.paths,
-        message_length=L,
-        release_times=release,
-        max_steps=max_steps,
-        telemetry=telemetry,
-    )
-
-
-def _run_store_forward(wl, *, B, L, seed, priority, telemetry, max_steps, release):
-    from .sim.store_forward import StoreForwardSimulator
-
-    sim = StoreForwardSimulator(
-        wl.net, bandwidth_flits_per_step=B, priority=priority, seed=seed
-    )
-    return sim.run(
-        wl.paths,
-        message_length=L,
-        release_times=release,
-        max_steps=max_steps,
-        telemetry=telemetry,
-    )
-
-
-def _run_restricted(wl, *, B, L, seed, priority, telemetry, max_steps, release):
-    from .sim.restricted import RestrictedWormholeSimulator
-
-    sim = RestrictedWormholeSimulator(wl.net, num_buffers=B, seed=seed)
-    return sim.run(
-        wl.paths, message_length=L, release_times=release, max_steps=max_steps
-    )
-
-
-_PATH_RUNNERS = {
-    "wormhole": _run_wormhole,
-    "cut_through": _run_cut_through,
-    "store_forward": _run_store_forward,
-    "restricted": _run_restricted,
-}
-
-
-def _simulate_batch(problem: Any, kwargs: dict[str, Any]) -> list:
-    """Lockstep execution of one problem under many seeds (``batch=``)."""
-    from .sim import batch as _batch
-
-    model = kwargs["model"]
-    if model not in _batch.BATCHED_MODELS:
-        raise NetworkError(
-            f"model {model!r} has no lockstep batch runner; batched "
-            f"models: {', '.join(sorted(_batch.BATCHED_MODELS))}"
-        )
-    vc_ids = kwargs.get("vc_ids")
-    if vc_ids is not None and model != "wormhole":
-        raise NetworkError(
-            f"vc_ids (per-hop virtual-channel classes) are a wormhole-model "
-            f"feature; model {model!r} does not accept them"
-        )
-    seeds = list(kwargs["batch"])
-    B = int(kwargs["B"])
-    wl = _as_workload(problem, model, kwargs.get("workload_params"))
-    L = kwargs.get("message_length")
-    if L is None:
-        if isinstance(problem, (str, Workload)):
-            L = wl.default_length
-        else:
-            raise NetworkError(
-                "message_length is required with a (net, paths) problem"
-            )
-    common: dict[str, Any] = {
-        "seeds": seeds,
-        "release_times": kwargs.get("release_times"),
-        "max_steps": kwargs.get("max_steps"),
-    }
-    priority = kwargs.get("priority") or _PRIORITY_DEFAULTS.get(model)
-    if model == "adaptive":
-        if wl.cube is None or wl.demands is None:
-            raise NetworkError(
-                f"the adaptive model needs a mesh problem (a (cube, demands)"
-                f" tuple or a mesh workload), got {problem!r}"
-            )
-        runs = _batch.run_adaptive_batch(
-            wl.cube,
-            wl.demands,
-            message_length=L,
-            num_virtual_channels=B,
-            policy=kwargs.get("policy") or "west-first",
-            **common,
-        )
-        return [r.result for r in runs]
-    paths = wl.padded_paths()
-    if model == "wormhole":
-        return _batch.run_wormhole_batch(
-            wl.net,
-            paths,
-            message_length=L,
-            num_virtual_channels=B,
-            priority=priority,
-            vc_ids=vc_ids,
-            **common,
-        )
-    if model == "cut_through":
-        return _batch.run_cut_through_batch(
-            wl.net,
-            paths,
-            message_length=L,
-            buffer_flits=B,
-            priority=priority,
-            **common,
-        )
-    if model == "store_forward":
-        return _batch.run_store_forward_batch(
-            wl.net,
-            paths,
-            message_length=L,
-            bandwidth_flits_per_step=B,
-            priority=priority,
-            **common,
-        )
-    return _batch.run_restricted_batch(
-        wl.net, paths, message_length=L, num_buffers=B, **common
-    )
+def _message_length(problem: Any, wl: Workload, message_length):
+    """``L``: explicit, else the workload's default (named problems)."""
+    if message_length is not None:
+        return message_length
+    if isinstance(problem, (str, Workload)):
+        return wl.default_length
+    raise NetworkError("message_length is required with a (net, paths) problem")
 
 
 def _simulate_local(problem: Any, kwargs: dict[str, Any]):
     """The in-process execution path (also the process-backend payload)."""
-    if kwargs.get("batch") is not None:
-        return _simulate_batch(problem, kwargs)
     model = kwargs["model"]
-    B = int(kwargs["B"])
-    seed = kwargs["seed"]
-    telemetry = kwargs.get("telemetry")
-    max_steps = kwargs.get("max_steps")
-    release = kwargs.get("release_times")
-
+    if kwargs.get("batch") is not None and model not in BATCHED_MODELS:
+        raise NetworkError(
+            f"model {model!r} has no lockstep batch runner; batched "
+            f"models: {', '.join(sorted(BATCHED_MODELS))}"
+        )
     if model == "continuous":
-        from .sim.continuous import ContinuousWormholeSimulator
-
-        if not (isinstance(problem, tuple) and len(problem) == 3):
-            raise TypeError(
-                "the continuous model takes problem=(net, num_sources, "
-                "path_of)"
-            )
-        net, num_sources, path_of = problem
-        rate, horizon = kwargs.get("rate"), kwargs.get("horizon")
-        if rate is None or horizon is None:
-            raise TypeError(
-                "the continuous model needs rate=... and horizon=..."
-            )
-        L = kwargs.get("message_length")
-        if L is None:
-            raise NetworkError("the continuous model needs message_length")
-        sim = ContinuousWormholeSimulator(
-            net, num_sources, num_virtual_channels=B, seed=seed
-        )
-        return sim.run(
-            rate,
-            L,
-            path_of,
-            horizon=int(horizon),
-            sample_every=int(kwargs.get("sample_every", 50)),
-        )
-
+        return _simulate_continuous(problem, kwargs)
     wl = _as_workload(problem, model, kwargs.get("workload_params"))
+    L = _message_length(problem, wl, kwargs.get("message_length"))
+    spec = MODEL_SPECS[model]
+    common: dict[str, Any] = {
+        "B": int(kwargs["B"]),
+        "choice": kwargs.get(spec.choice) if spec.choice else None,
+        "release_times": kwargs.get("release_times"),
+        "max_steps": kwargs.get("max_steps"),
+        "vc_ids": kwargs.get("vc_ids"),
+    }
+    if kwargs.get("batch") is not None:
+        return run_trials(model, wl, L, seeds=list(kwargs["batch"]), **common)
+    return run_trial(
+        model,
+        wl,
+        L,
+        seed=kwargs["seed"],
+        telemetry=kwargs.get("telemetry"),
+        **common,
+    )
+
+
+def _simulate_continuous(problem: Any, kwargs: dict[str, Any]):
+    from .sim.continuous import ContinuousWormholeSimulator
+
+    if not (isinstance(problem, tuple) and len(problem) == 3):
+        raise TypeError(
+            "the continuous model takes problem=(net, num_sources, "
+            "path_of)"
+        )
+    net, num_sources, path_of = problem
+    rate, horizon = kwargs.get("rate"), kwargs.get("horizon")
+    if rate is None or horizon is None:
+        raise TypeError(
+            "the continuous model needs rate=... and horizon=..."
+        )
     L = kwargs.get("message_length")
     if L is None:
-        if isinstance(problem, (str, Workload)):
-            L = wl.default_length
-        else:
-            raise NetworkError(
-                "message_length is required with a (net, paths) problem"
-            )
-
-    if model == "adaptive":
-        from .sim.adaptive import AdaptiveMeshRouter
-
-        if wl.cube is None or wl.demands is None:
-            raise NetworkError(
-                f"the adaptive model needs a mesh problem (a (cube, demands)"
-                f" tuple or a mesh workload), got {problem!r}"
-            )
-        router = AdaptiveMeshRouter(
-            wl.cube,
-            num_virtual_channels=B,
-            policy=kwargs.get("policy") or "west-first",
-            seed=seed,
-        )
-        return router.run(
-            wl.demands,
-            message_length=L,
-            release_times=release,
-            max_steps=max_steps,
-            telemetry=telemetry,
-        ).result
-
-    priority = kwargs.get("priority") or _PRIORITY_DEFAULTS.get(model)
-    vc_ids = kwargs.get("vc_ids")
-    if vc_ids is not None and model != "wormhole":
-        raise NetworkError(
-            f"vc_ids (per-hop virtual-channel classes) are a wormhole-model "
-            f"feature; model {model!r} does not accept them"
-        )
-    extra = {"vc_ids": vc_ids} if model == "wormhole" else {}
-    return _PATH_RUNNERS[model](
-        wl,
-        B=B,
-        L=L,
-        seed=seed,
-        priority=priority,
-        telemetry=telemetry,
-        max_steps=max_steps,
-        release=release,
-        **extra,
+        raise NetworkError("the continuous model needs message_length")
+    sim = ContinuousWormholeSimulator(
+        net,
+        num_sources,
+        num_virtual_channels=int(kwargs["B"]),
+        seed=kwargs["seed"],
+    )
+    return sim.run(
+        rate,
+        L,
+        path_of,
+        horizon=int(horizon),
+        sample_every=int(kwargs.get("sample_every", 50)),
     )
 
 
@@ -572,19 +408,14 @@ def simulate(
                     "single closed-form evaluations"
                 )
         wl = _as_workload(problem, model, workload_params)
-        L = message_length
-        if L is None:
-            if isinstance(problem, (str, Workload)):
-                L = wl.default_length
-            else:
-                raise NetworkError(
-                    "message_length is required with a (net, paths) problem"
-                )
+        L = _message_length(problem, wl, message_length)
         env = estimate_workload(
             wl, model, B=int(B), message_length=L, release_times=release_times
         )
         return SimResult(mode="estimate", provenance="estimate", envelope=env)
-    if telemetry is not None and model not in _TELEMETRY_MODELS:
+    if telemetry is not None and not (
+        model in MODEL_SPECS and MODEL_SPECS[model].telemetry
+    ):
         raise NetworkError(
             f"model {model!r} does not support telemetry probes"
         )

@@ -49,9 +49,8 @@ from ..sim.batch import batch_compat_key
 from ..sim.sweep import (
     _BATCH_SIMULATORS,
     TrialSpec,
-    _build_workload,
     _execute_trial,
-    _run_batch_model,
+    _run_compatible,
     _sim_seed,
     trial_seed,
 )
@@ -98,20 +97,11 @@ def execute_compatible(
     spec0 = items[0][0]
     if len(items) == 1 or spec0.simulator not in _BATCH_SIMULATORS:
         return [_execute_trial(item)[0] for item in items]
-    wl = _build_workload(spec0.workload, spec0.workload_params)
-    L = (
-        wl.default_length
-        if spec0.message_length is None
-        else spec0.message_length
-    )
-    sp = dict(spec0.sim_params)
     seeds = [
         _sim_seed(dict(spec.sim_params), trial_seed(spec, root_seed))
         for spec, root_seed in items
     ]
-    return _run_batch_model(
-        spec0.simulator, wl, L, sp, seeds, [spec.B for spec, _ in items]
-    )
+    return _run_compatible([spec for spec, _ in items], seeds)
 
 
 class DynamicBatcher:

@@ -23,8 +23,6 @@ from .engine import (
     BatchSlotArbiter,
     BatchStepLoop,
     PaddedPaths,
-    SlotArbiter,
-    StepLoop,
     check_edge_simple,
     default_step_cap,
     grant_free_slots,
@@ -50,8 +48,6 @@ __all__ = [
     "PaddedPaths",
     "RestrictedWormholeSimulator",
     "SimulationResult",
-    "SlotArbiter",
-    "StepLoop",
     "StoreForwardSimulator",
     "SweepResult",
     "TrialResult",

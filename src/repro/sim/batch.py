@@ -18,9 +18,8 @@ runner                  serial counterpart
 :func:`run_adaptive_batch`       :class:`~repro.sim.adaptive.AdaptiveMeshRouter`
 ======================  =============================================
 
-Each runner validates like its serial counterpart, builds the matching
-:mod:`repro.sim.kernels` kernel at ``T`` trials — the *same* body the
-serial wrapper drives at ``T = 1`` — and steps a shared
+Each runner validates its inputs, builds the matching
+:mod:`repro.sim.kernels` kernel at ``T`` trials and steps a shared
 :class:`~repro.sim.engine.BatchStepLoop`:
 
 * one vectorized contend/rank/grant arbitration per step over the
@@ -31,51 +30,70 @@ serial wrapper drives at ``T = 1`` — and steps a shared
   masking, so finished trials drop out of the active set without
   stalling the batch.
 
+A serial simulator class is a thin ``T = 1`` call of its runner with
+``seeds=[its generator]`` (``np.random.default_rng`` returns a
+``Generator`` unchanged, so a reused instance keeps drawing from one
+continuing stream).  The runners are therefore the only place a model
+is validated, capped and set up.
+
+:data:`MODEL_SPECS` is the one registry of the five models: what a
+caller needs to run one (serial class, runner, buffering knob,
+arbitration keyword and default, problem shape, telemetry support).
+:func:`run_trial` (one trial, through the serial class) and
+:func:`run_trials` (many trials, one lockstep runner call) are the two
+ways every front end — :func:`repro.simulate`, the sweep runner, the
+service batcher — runs a model.
+
 Bit-exactness contract
 ----------------------
-``run_<model>_batch(...)[i]`` is bit-identical to the serial simulator
-constructed with the same parameters and ``seed=seeds[i]`` — same
-completion times, makespan, executed steps, blocked counts, deadlock
-flags, step-cap flags, and per-trial ``extra`` keys (and, for
-adaptive, the same taken paths).  The load-bearing facts:
+``run_<model>_batch(...)[i]`` is bit-identical to the ``T = 1`` run
+with the same parameters and ``seeds[i]`` — same completion times,
+makespan, executed steps, blocked counts, deadlock flags, step-cap
+flags, and per-trial ``extra`` keys (and, for adaptive, the same taken
+paths).  The load-bearing facts:
 
 * trials are independent: trial ``i``'s state is read and written only
   where trial ``i`` has active messages, and the combined arbitration
   key space keeps slot groups of different trials disjoint;
 * each trial keeps its **own** RNG (``np.random.default_rng(seeds[i])``)
-  and draws from it exactly as its serial run would — per-step draws
+  and draws from it exactly as its ``T = 1`` run would — per-step draws
   happen only in steps where that trial acts, setup-time draws (rank
   permutations, rotating-service offsets, injection delays) happen once
   per trial at startup;
 * the shared clock visits every step at which any trial acts; a trial's
   state does not change during steps where it merely waits, so running
-  through another trial's steps is observationally identical to the
-  serial loop's idle-gap skipping (see :class:`BatchStepLoop`).
+  through another trial's steps is observationally identical to its own
+  run's idle-gap skipping (see :class:`BatchStepLoop`).
 
 The batch-vs-serial equivalence suites (``tests/sim/test_batch.py``
 and ``tests/sim/test_batch_models.py``) pin this contract over the
 golden-case shapes and randomized property sweeps, and the
 :mod:`repro.fuzz` invariant guards it nightly.
 
-Telemetry probes are deliberately **not** supported here: per-trial
+Telemetry probes (``telemetry=``) attach at ``T = 1`` only: per-trial
 probe streams would serialize the batch (defeating its purpose) and
-collectors never perturb results, so profile single trials with the
-serial simulator classes instead.
+collectors never perturb results, so profile single trials.  The
+restricted model has no probe hooks.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
+from dataclasses import dataclass
+from typing import Any
 
 import numpy as np
 
 from ..network.graph import Network, NetworkError
 from ..network.mesh import KAryNCube
 from ..routing.paths import Path
-from .adaptive import _POLICIES, AdaptiveRunResult
+from ..telemetry.probe import Probe, ProbeSet, RunMeta
+from .adaptive import _POLICIES, AdaptiveMeshRouter, AdaptiveRunResult
+from .cut_through import CutThroughSimulator
 from .engine import (
     BatchStepLoop,
     PaddedPaths,
+    _per_trial,
     pad_paths,
     resolve_step_cap,
 )
@@ -87,26 +105,25 @@ from .kernels import (
     WormholeKernel,
     validate_vc_ids,
 )
+from .restricted import RestrictedWormholeSimulator
 from .stats import SimulationResult
 from .store_forward import _PRIORITIES as _SF_PRIORITIES
-from .wormhole import _EDGE_SIMPLE_WHAT, _PRIORITIES
+from .store_forward import StoreForwardSimulator
+from .wormhole import _EDGE_SIMPLE_WHAT, _PRIORITIES, WormholeSimulator
 
 __all__ = [
     "BATCHED_MODELS",
+    "MODEL_SPECS",
+    "ModelSpec",
     "batch_compat_key",
     "run_adaptive_batch",
     "run_cut_through_batch",
     "run_restricted_batch",
     "run_store_forward_batch",
+    "run_trial",
+    "run_trials",
     "run_wormhole_batch",
 ]
-
-#: Models with a lockstep batch runner (all of them — the sweep packer,
-#: the service batcher, and the facade key off this set).
-BATCHED_MODELS = frozenset(
-    {"wormhole", "cut_through", "store_forward", "restricted", "adaptive"}
-)
-
 
 def batch_compat_key(spec) -> tuple:
     """What makes two sweep cells / service requests lockstep-compatible.
@@ -134,19 +151,6 @@ def batch_compat_key(spec) -> tuple:
     )
 
 
-def _per_trial(value, T: int, name: str) -> np.ndarray:
-    """Broadcast a scalar or per-trial sequence to a ``(T,)`` array."""
-    arr = np.asarray(value, dtype=np.int64)
-    if arr.ndim == 0:
-        return np.full(T, int(arr), dtype=np.int64)
-    if arr.shape != (T,):
-        raise NetworkError(
-            f"{name} must be a scalar or match the {T} seeds "
-            f"(one entry per trial), got shape {arr.shape}"
-        )
-    return arr.copy()
-
-
 def _seed_rngs(seeds, runner: str) -> list:
     """One independent generator per trial, or raise on an empty batch."""
     seeds = list(seeds)
@@ -159,11 +163,14 @@ def _seed_rngs(seeds, runner: str) -> list:
 
 
 def _shared_lengths(message_length, M: int) -> np.ndarray:
-    """Per-message ``L`` shared by all trials, validated like serial."""
+    """Per-message ``L`` shared by all trials (scalar or ``(M,)``)."""
+    arr = np.asarray(message_length, dtype=np.int64)
     try:
-        L = np.broadcast_to(
-            np.asarray(message_length, dtype=np.int64), (M,)
-        ).copy()
+        L = (
+            np.full(M, int(arr), dtype=np.int64)
+            if arr.ndim == 0
+            else np.broadcast_to(arr, (M,)).copy()
+        )
     except ValueError:
         raise NetworkError(
             f"message_length must be a scalar or have shape ({M},), got "
@@ -188,8 +195,27 @@ def _shared_release(release_times, M: int) -> np.ndarray:
     return release
 
 
-def _empty_results(T: int) -> list[SimulationResult]:
-    return [
+def _probes(telemetry, T: int, runner: str) -> "ProbeSet | None":
+    """Coerce ``telemetry=``; probes attach to a single trial only."""
+    probes = ProbeSet.coerce(telemetry)
+    if probes is not None and T != 1:
+        raise NetworkError(
+            f"telemetry probes attach to a single trial; {runner} got "
+            f"{T} seeds (run batches without telemetry)"
+        )
+    return probes
+
+
+def _start(loop: BatchStepLoop, probes, meta: RunMeta) -> None:
+    """Open a ``T = 1`` run's telemetry and hand the probes to the loop."""
+    if probes is not None:
+        probes.on_run_start(meta)
+        loop.probes = probes
+
+
+def _empty_results(T: int, probes=None, meta=None) -> list[SimulationResult]:
+    """Results of a run without messages (the probes see start and end)."""
+    out = [
         SimulationResult(
             completion_times=np.full(0, -1, dtype=np.int64),
             makespan=-1,
@@ -198,6 +224,10 @@ def _empty_results(T: int) -> list[SimulationResult]:
         )
         for _ in range(T)
     ]
+    if probes is not None:
+        probes.on_run_start(meta)
+        probes.on_run_end(out[0])
+    return out
 
 
 # ----------------------------------------------------------------------
@@ -216,6 +246,7 @@ def run_wormhole_batch(
     release_times: np.ndarray | None = None,
     max_steps: int | None = None,
     vc_ids: np.ndarray | Sequence[Sequence[int]] | None = None,
+    telemetry: ProbeSet | Probe | Iterable[Probe] | None = None,
 ) -> list[SimulationResult]:
     """Simulate ``T = len(seeds)`` independent wormhole trials in lockstep.
 
@@ -246,6 +277,8 @@ def run_wormhole_batch(
         As in :meth:`WormholeSimulator.run`, shared by all trials.  With
         ``vc_ids``, every trial's ``B`` must exceed the largest assigned
         class id.
+    telemetry:
+        :mod:`repro.telemetry` probes for a single-trial run (one seed).
 
     Returns
     -------
@@ -254,6 +287,7 @@ def run_wormhole_batch(
     """
     rngs = _seed_rngs(seeds, "run_wormhole_batch")
     T = len(rngs)
+    probes = _probes(telemetry, T, "run_wormhole_batch")
     B = _per_trial(num_virtual_channels, T, "num_virtual_channels")
     if B.min() < 1:
         raise NetworkError(
@@ -268,8 +302,18 @@ def run_wormhole_batch(
     L = _shared_lengths(message_length, M)
     pp.require_edge_simple(_EDGE_SIMPLE_WHAT)
     release = _shared_release(release_times, M)
+    meta = RunMeta(
+        simulator="wormhole",
+        num_messages=M,
+        num_edges=net.num_edges,
+        num_virtual_channels=int(B[0]),
+        paths=padded,
+        lengths=D,
+        message_length=L,
+        release=release,
+    )
     if M == 0:
-        return _empty_results(T)
+        return _empty_results(T, probes, meta)
 
     total_moves = L + D - 1
     trivial = D == 0
@@ -299,7 +343,9 @@ def run_wormhole_batch(
         priority=priority,
         rngs=rngs,
         vc_padded=vc_padded,
+        probes=probes,
     )
+    _start(loop, probes, meta)
     loop.run(kernel.body)
     return loop.results()
 
@@ -319,11 +365,13 @@ def run_cut_through_batch(
     priority: str = "random",
     release_times: np.ndarray | None = None,
     max_steps: int | None = None,
+    telemetry: ProbeSet | Probe | Iterable[Probe] | None = None,
 ) -> list[SimulationResult]:
     """Lockstep batch of :class:`~repro.sim.cut_through.CutThroughSimulator`
     trials — one per seed, with per-trial ``buffer_flits``."""
     rngs = _seed_rngs(seeds, "run_cut_through_batch")
     T = len(rngs)
+    probes = _probes(telemetry, T, "run_cut_through_batch")
     B = _per_trial(buffer_flits, T, "buffer_flits")
     if B.min() < 1:
         raise NetworkError("buffer must hold at least one flit")
@@ -334,10 +382,21 @@ def run_cut_through_batch(
     padded, D = pp.padded, pp.lengths
     M = int(D.size)
     L = _shared_lengths(message_length, M)
-    if M == 0:
-        return _empty_results(T)
     pp.require_edge_simple()
     release = _shared_release(release_times, M)
+    meta = RunMeta(
+        simulator="cut_through",
+        num_messages=M,
+        num_edges=net.num_edges,
+        num_virtual_channels=1,
+        paths=padded,
+        lengths=D,
+        message_length=L,
+        release=release,
+        extra={"flits_per_grant": L},
+    )
+    if M == 0:
+        return _empty_results(T, probes, meta)
 
     trivial = D == 0
     caps = resolve_step_cap(
@@ -359,7 +418,9 @@ def run_cut_through_batch(
         buffer_flits=B,
         priority=priority,
         rngs=rngs,
+        probes=probes,
     )
+    _start(loop, probes, meta)
     loop.run(kernel.body)
     return loop.results()
 
@@ -380,6 +441,7 @@ def run_store_forward_batch(
     delay_range: int = 0,
     release_times: np.ndarray | None = None,
     max_steps: int | None = None,
+    telemetry: ProbeSet | Probe | Iterable[Probe] | None = None,
 ) -> list[SimulationResult]:
     """Lockstep batch of :class:`~repro.sim.store_forward
     .StoreForwardSimulator` trials — one per seed, with per-trial
@@ -388,6 +450,7 @@ def run_store_forward_batch(
     results are reported in flit steps, exactly like serial runs)."""
     rngs = _seed_rngs(seeds, "run_store_forward_batch")
     T = len(rngs)
+    probes = _probes(telemetry, T, "run_store_forward_batch")
     BW = _per_trial(bandwidth_flits_per_step, T, "bandwidth_flits_per_step")
     if BW.min() < 1:
         raise NetworkError("bandwidth must be >= 1 flit per step")
@@ -402,18 +465,30 @@ def run_store_forward_batch(
     padded, D = pad_paths(paths)
     M = int(D.size)
     hop = -(-int(message_length) // BW)  # per-trial ceil(L / B)
-    if M == 0:
-        return _empty_results(T)
-
     release_fs = _shared_release(release_times, M)
     # Convert to per-trial message steps, rounding up to a boundary.
     release = -(-release_fs[None, :] // hop[:, None])
-    if delay_range > 0:
+    if M and delay_range > 0:
         release = release + np.stack(
             [rng.integers(0, delay_range, size=M) for rng in rngs]
         )
+    meta = RunMeta(
+        simulator="store_forward",
+        num_messages=M,
+        num_edges=net.num_edges,
+        num_virtual_channels=1,
+        paths=padded,
+        lengths=D,
+        message_length=np.full(M, message_length, dtype=np.int64),
+        release=release[0],
+        extra={
+            "flits_per_grant": int(message_length),
+            "flit_steps_per_step": int(hop[0]),
+        },
+    )
+    if M == 0:
+        return _empty_results(T, probes, meta)
 
-    trivial = D == 0
     caps = np.asarray(
         [
             resolve_step_cap(
@@ -423,12 +498,12 @@ def run_store_forward_batch(
         ],
         dtype=np.int64,
     )
+    # Greedy store-and-forward cannot deadlock: every contended edge
+    # forwards one message per step, so progress is unconditional.
     loop = BatchStepLoop(
         T, M, release, caps, detect_deadlock=False, time_scale=hop
     )
-    loop.done[:, trivial] = True
-    loop.completion[:, trivial] = (release * hop[:, None])[:, trivial]
-
+    loop.mark_trivial(D == 0, release * hop[:, None])
     kernel = StoreForwardKernel(
         loop,
         num_edges=net.num_edges,
@@ -438,7 +513,9 @@ def run_store_forward_batch(
         hop=hop,
         priority=priority,
         rngs=rngs,
+        probes=probes,
     )
+    _start(loop, probes, meta)
     loop.run(kernel.body)
     return loop.results(
         lambda i: {
@@ -476,10 +553,10 @@ def run_restricted_batch(
     padded, D = pp.padded, pp.lengths
     M = int(D.size)
     L = _shared_lengths(message_length, M)
-    if M == 0:
-        return _empty_results(T)
     pp.require_edge_simple()
     release = _shared_release(release_times, M)
+    if M == 0:
+        return _empty_results(T)
 
     trivial = D == 0
     caps = resolve_step_cap(
@@ -520,6 +597,7 @@ def run_adaptive_batch(
     policy: str = "west-first",
     release_times: np.ndarray | None = None,
     max_steps: int | None = None,
+    telemetry: ProbeSet | Probe | Iterable[Probe] | None = None,
 ) -> list[AdaptiveRunResult]:
     """Lockstep batch of :class:`~repro.sim.adaptive.AdaptiveMeshRouter`
     trials — one per seed, with per-trial ``B``.  Returns
@@ -527,6 +605,7 @@ def run_adaptive_batch(
     trial's adaptively chosen routes stay inspectable."""
     rngs = _seed_rngs(seeds, "run_adaptive_batch")
     T = len(rngs)
+    probes = _probes(telemetry, T, "run_adaptive_batch")
     if cube.n != 2 or cube.wrap:
         raise NetworkError("adaptive routing is implemented for 2-D meshes")
     B = _per_trial(num_virtual_channels, T, "num_virtual_channels")
@@ -539,9 +618,8 @@ def run_adaptive_batch(
         raise NetworkError("message length L must be >= 1")
 
     M = len(demands)
-    if M == 0:
-        return [AdaptiveRunResult(r, []) for r in _empty_results(T)]
     release = _shared_release(release_times, M)
+    # Minimal routes all have the Manhattan length.
     dists = np.asarray(
         [
             sum(
@@ -552,6 +630,21 @@ def run_adaptive_batch(
         ],
         dtype=np.int64,
     )
+    meta = RunMeta(
+        simulator="adaptive",
+        num_messages=M,
+        num_edges=cube.network.num_edges,
+        num_virtual_channels=int(B[0]),
+        paths=None,
+        lengths=dists,
+        message_length=np.full(M, L, dtype=np.int64),
+        release=release,
+        extra={"flits_per_grant": L, "policy": policy},
+    )
+    if M == 0:
+        return [
+            AdaptiveRunResult(r, []) for r in _empty_results(T, probes, meta)
+        ]
     caps = resolve_step_cap(
         max_steps, "adaptive", release=release, lengths=dists, message_length=L
     )
@@ -566,9 +659,200 @@ def run_adaptive_batch(
         capacities=B,
         policy=policy,
         rngs=rngs,
+        probes=probes,
     )
+    _start(loop, probes, meta)
     loop.run(kernel.body)
     return [
         AdaptiveRunResult(res, kernel.taken_paths(i))
         for i, res in enumerate(loop.results())
     ]
+
+
+# ----------------------------------------------------------------------
+# The model registry and the two ways to run a model.
+# ----------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class ModelSpec:
+    """Everything a front end needs to run one flit-level router model.
+
+    ``knob`` is the model's buffering keyword — what :func:`repro.simulate`
+    and the sweep call ``B`` — shared by the serial constructor and the
+    runner (per trial there).  ``choice`` names the arbitration keyword
+    (``"priority"`` or the adaptive turn model's ``"policy"``; ``None``
+    for the restricted model, which has neither) and ``default`` its
+    value when a caller leaves it unset.  ``mesh`` models route
+    ``(cube, demands)`` problems online instead of ``(net, paths)``.
+    ``options`` lists the run keywords beyond ``release_times`` /
+    ``max_steps`` the model accepts; ``telemetry`` says whether its runs
+    accept probes.
+    """
+
+    name: str
+    serial: type
+    runner: str
+    knob: str
+    choice: str | None
+    default: str | None
+    mesh: bool = False
+    telemetry: bool = True
+    options: tuple[str, ...] = ()
+
+    def accepts(self, option: str) -> bool:
+        """Whether a run of this model takes the ``option`` keyword."""
+        return (
+            option in ("release_times", "max_steps")
+            or option in self.options
+            or (option == "telemetry" and self.telemetry)
+        )
+
+
+#: The five flit-level models, in paper order.
+MODEL_SPECS: dict[str, ModelSpec] = {
+    spec.name: spec
+    for spec in (
+        ModelSpec(
+            name="wormhole",
+            serial=WormholeSimulator,
+            runner="run_wormhole_batch",
+            knob="num_virtual_channels",
+            choice="priority",
+            default="random",
+            options=("vc_ids",),
+        ),
+        ModelSpec(
+            name="cut_through",
+            serial=CutThroughSimulator,
+            runner="run_cut_through_batch",
+            knob="buffer_flits",
+            choice="priority",
+            default="random",
+        ),
+        ModelSpec(
+            name="store_forward",
+            serial=StoreForwardSimulator,
+            runner="run_store_forward_batch",
+            knob="bandwidth_flits_per_step",
+            choice="priority",
+            default="farthest",
+        ),
+        ModelSpec(
+            name="restricted",
+            serial=RestrictedWormholeSimulator,
+            runner="run_restricted_batch",
+            knob="num_buffers",
+            choice=None,
+            default=None,
+            telemetry=False,
+        ),
+        ModelSpec(
+            name="adaptive",
+            serial=AdaptiveMeshRouter,
+            runner="run_adaptive_batch",
+            knob="num_virtual_channels",
+            choice="policy",
+            default="west-first",
+            mesh=True,
+        ),
+    )
+}
+
+#: Models with a lockstep batch runner (all of them — the sweep packer,
+#: the service batcher, and the facade key off this set).
+BATCHED_MODELS = frozenset(MODEL_SPECS)
+
+
+def _model_args(
+    model: str, problem, B, choice: str | None, options: dict[str, Any]
+) -> tuple[ModelSpec, tuple, dict[str, Any], dict[str, Any]]:
+    """Resolve one call: spec, positional problem, settings, run options.
+
+    ``problem`` is a :class:`~repro.sim.sweep.Workload` (anything with
+    ``net`` / ``padded_paths()`` or ``cube`` / ``demands``).  Options
+    left at ``None`` are dropped; any other option the model does not
+    take is an error.
+    """
+    try:
+        spec = MODEL_SPECS[model]
+    except KeyError:
+        raise NetworkError(
+            f"model {model!r} has no lockstep runner; flit-level models: "
+            f"{', '.join(MODEL_SPECS)}"
+        ) from None
+    if spec.mesh:
+        if problem.cube is None or problem.demands is None:
+            raise NetworkError(
+                f"the {model} model needs a mesh problem (a (cube, demands) "
+                "tuple or a mesh workload such as mesh-permutation)"
+            )
+        args = (problem.cube, problem.demands)
+    else:
+        args = (problem.net, problem.padded_paths())
+    settings: dict[str, Any] = {spec.knob: B}
+    if spec.choice is not None:
+        settings[spec.choice] = choice or spec.default
+    run_kw = {k: v for k, v in options.items() if v is not None}
+    for key in run_kw:
+        if not spec.accepts(key):
+            takers = [m for m, s in MODEL_SPECS.items() if s.accepts(key)]
+            raise NetworkError(
+                f"model {model!r} does not accept {key}= (models that do: "
+                f"{', '.join(takers) or 'none'})"
+            )
+    return spec, args, settings, run_kw
+
+
+def _unwrap(result):
+    """The :class:`SimulationResult` (adaptive runs also carry routes)."""
+    return result.result if isinstance(result, AdaptiveRunResult) else result
+
+
+def run_trial(
+    model: str,
+    problem,
+    message_length,
+    *,
+    seed,
+    B: int,
+    choice: str | None = None,
+    **options,
+) -> SimulationResult:
+    """One trial of ``model`` through its serial simulator class.
+
+    ``B`` is the model's buffering knob and ``choice`` its arbitration
+    keyword's value (``None`` = the registry default); ``options`` are
+    run keywords such as ``release_times``, ``max_steps``, ``vc_ids`` or
+    ``telemetry``.  Bit-identical to ``run_trials(..., seeds=[seed])``.
+    """
+    spec, (where, what), settings, run_kw = _model_args(
+        model, problem, B, choice, options
+    )
+    sim = spec.serial(where, **settings, seed=seed)
+    return _unwrap(sim.run(what, message_length, **run_kw))
+
+
+def run_trials(
+    model: str,
+    problem,
+    message_length,
+    *,
+    seeds: Sequence,
+    B,
+    choice: str | None = None,
+    **options,
+) -> list[SimulationResult]:
+    """``len(seeds)`` trials of ``model`` in one lockstep runner call.
+
+    ``B`` is a scalar or one knob value per seed; the rest is as in
+    :func:`run_trial`.  The runner is looked up on this module at call
+    time, so a wrapper installed over ``run_<model>_batch`` sees every
+    call.
+    """
+    spec, (where, what), settings, run_kw = _model_args(
+        model, problem, B, choice, options
+    )
+    runner = globals()[spec.runner]
+    runs = runner(where, what, message_length, seeds=seeds, **settings, **run_kw)
+    return [_unwrap(r) for r in runs]

@@ -11,31 +11,26 @@ machinery so each router contributes only its advance rule:
     :class:`PaddedPaths` caches one packed-and-validated matrix so
     repeated runs of the same workload (every seed of a sweep grid
     cell) skip the re-pack and re-check.
-:func:`grant_free_slots` / :class:`SlotArbiter`
+:func:`grant_free_slots` / :class:`BatchSlotArbiter`
     The vectorized contend/rank/grant kernel — sort the contenders by
     ``(slot, priority)``, rank each contender within its slot group, and
     grant the first ``free`` of every group — plus occupancy tracking
     for slot models that hold grants across steps (capacity-``B`` edges,
-    or capacity-1 ``(edge, VC-class)`` pairs).  **This is the only place
-    in** ``repro.sim`` **where the kernel exists**; the circuit and
-    continuous simulators call it too.
-:class:`StepLoop`
-    The synchronous step protocol: time advance, release gating,
-    idle-gap skipping, step caps, deadlock declaration, telemetry abort
-    handling, and :class:`~repro.sim.stats.SimulationResult` assembly.
-:class:`BatchSlotArbiter` / :class:`BatchStepLoop`
-    The batched (many independent trials in lockstep) counterparts of
-    :class:`SlotArbiter` and :class:`StepLoop`, used by
-    :mod:`repro.sim.batch`: one flat occupancy array over the combined
-    ``(trial, slot)`` key space and one shared clock with per-trial
-    completion / deadlock / step-cap masking, bit-exact per trial with
-    the serial loop.
+    or capacity-1 ``(edge, VC-class)`` pairs), one flat occupancy array
+    over the combined ``(trial, slot)`` key space.  **This is the only
+    place in** ``repro.sim`` **where the kernel exists**; the circuit
+    and continuous simulators call it too.
+:class:`BatchStepLoop`
+    The synchronous step protocol — time advance, release gating,
+    idle-gap skipping, step caps, deadlock declaration, result assembly
+    — for ``T`` independent trials on one shared clock with per-trial
+    completion / deadlock / step-cap masking.  It is the only step loop:
+    a serial simulator run is a ``T = 1`` loop, which also carries the
+    telemetry lifecycle (deadlock and run-end events, the
+    ``telemetry_abort`` annotation).
 :func:`default_step_cap` / :func:`resolve_step_cap`
     The documented per-model ``max_steps`` bounds with one shared
     override path.
-:func:`legacy_record_probes` / :func:`legacy_extra`
-    The deprecation shim behind the pre-telemetry ``record_trace`` /
-    ``record_contention`` keywords.
 
 Bit-exactness contract
 ----------------------
@@ -58,14 +53,13 @@ well-defined — the message simply queues at that edge again.  See
 
 from __future__ import annotations
 
-import warnings
 from collections.abc import Callable, Sequence
 
 import numpy as np
 
 from ..network.graph import NetworkError
 from ..routing.paths import Path
-from ..telemetry.probe import Probe, ProbeSet
+from ..telemetry.probe import ProbeSet
 from . import fastpath
 from .stats import SimulationResult
 
@@ -73,16 +67,11 @@ __all__ = [
     "BatchSlotArbiter",
     "BatchStepLoop",
     "PaddedPaths",
-    "SlotArbiter",
-    "StepLoop",
     "age_priorities",
     "check_edge_simple",
-    "compat_check_edge_simple",
     "default_step_cap",
     "grant_free_slots",
     "grant_free_slots_reference",
-    "legacy_extra",
-    "legacy_record_probes",
     "pad_paths",
     "resolve_step_cap",
 ]
@@ -110,17 +99,6 @@ def check_edge_simple(
     bad = np.flatnonzero(dup.any(axis=1))
     if bad.size:
         raise NetworkError(what.format(m=int(bad[0])))
-
-
-def compat_check_edge_simple(
-    padded: np.ndarray,
-    lengths: np.ndarray,
-    what: str = "path of message {m} is not edge-simple",
-) -> None:
-    """The single back-compat shim behind the former per-router
-    ``_check_edge_simple(padded, lengths)`` staticmethods."""
-    del lengths  # encoded by the -1 padding already
-    check_edge_simple(padded, what)
 
 
 def pad_paths(paths: Sequence[Path] | Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
@@ -208,7 +186,7 @@ def grant_free_slots(
     ``capacity - occupancy[slot]`` contenders are granted.  Returns the
     boolean granted mask aligned with the input order.  Occupancy is
     **not** updated — callers that hold grants across steps acquire via
-    :class:`SlotArbiter`.
+    :class:`BatchSlotArbiter`.
 
     ``capacity`` may be a per-contender array (constant within each
     slot group) — this is how :class:`BatchSlotArbiter` arbitrates
@@ -225,9 +203,7 @@ def grant_free_slots(
     if isinstance(capacity, np.ndarray):
         sorted_caps = capacity[order]
     else:
-        sorted_caps = np.broadcast_to(
-            np.int64(capacity), (order.size,)
-        )
+        sorted_caps = np.full(order.size, capacity, dtype=np.int64)
     granted_sorted = fastpath.segmented_grant(
         sorted_slots, sorted_caps, occupancy
     )
@@ -271,50 +247,6 @@ def age_priorities(release: np.ndarray) -> np.ndarray:
     return np.lexsort((np.arange(release.size), release)).argsort()
 
 
-class SlotArbiter:
-    """Capacity-limited slot pool with the shared arbitration kernel.
-
-    A *slot* is whatever a router's buffer model holds across steps: a
-    physical edge with capacity ``B`` (interchangeable virtual
-    channels), or an ``(edge, VC-class)`` pair with capacity 1 (the
-    Dally-Seitz mechanism).  The arbiter tracks per-slot occupancy and
-    answers contention rounds with :meth:`contend`, which applies
-    :func:`grant_free_slots` against the current occupancy.
-    """
-
-    def __init__(self, num_slots: int, capacity: int = 1) -> None:
-        if capacity < 1:
-            raise NetworkError("slot capacity must be >= 1")
-        self.num_slots = int(num_slots)
-        self.capacity = int(capacity)
-        self.occupancy = np.zeros(self.num_slots, dtype=np.int64)
-
-    # -- vectorized round ----------------------------------------------
-    def contend(self, slots: np.ndarray, prio: np.ndarray) -> np.ndarray:
-        """Granted mask for one contention round (does not acquire)."""
-        if slots.size == 0:
-            return np.zeros(0, dtype=bool)
-        return grant_free_slots(slots, prio, self.capacity, self.occupancy)
-
-    def acquire(self, slots: np.ndarray) -> None:
-        """Occupy ``slots`` (duplicates accumulate)."""
-        np.add.at(self.occupancy, slots, 1)
-
-    def vacate(self, slots: np.ndarray) -> None:
-        """Release previously acquired ``slots``."""
-        np.add.at(self.occupancy, slots, -1)
-
-    # -- scalar path (sequential / adaptive arbitration) ---------------
-    def has_free(self, slot: int) -> bool:
-        return bool(self.occupancy[slot] < self.capacity)
-
-    def acquire_one(self, slot: int) -> None:
-        self.occupancy[slot] += 1
-
-    def vacate_one(self, slot: int) -> None:
-        self.occupancy[slot] -= 1
-
-
 class BatchSlotArbiter:
     """``T`` independent slot pools arbitrated in one kernel call.
 
@@ -323,8 +255,8 @@ class BatchSlotArbiter:
     occupancy array, and every contention round runs
     :func:`grant_free_slots` once over the combined ``(trial, slot)``
     key ``offset[trial] + slot``.  Because keys never collide across
-    trials, the grants for each trial are exactly what its own
-    :class:`SlotArbiter` would have produced — trials may even have
+    trials, the grants for each trial are exactly what arbitrating that
+    trial's pool on its own would have produced — trials may even have
     different capacities (a mixed-``B`` batch).
     """
 
@@ -453,212 +385,81 @@ def resolve_step_cap(max_steps: int | None, model: str, **dims) -> int:
 
 
 # ----------------------------------------------------------------------
-# Legacy record_* keyword shim.
-# ----------------------------------------------------------------------
-
-
-def legacy_record_probes(
-    record_trace: bool, record_contention: bool, stacklevel: int = 3
-) -> tuple[list[Probe], "Probe | None", "Probe | None"]:
-    """Engine-level shim for the deprecated ``record_*`` run keywords.
-
-    Returns ``(extra_probes, trace_probe, contention_probe)`` to pass to
-    :meth:`ProbeSet.coerce` and :func:`legacy_extra`; emits the same
-    DeprecationWarnings the routers used to emit inline.
-    """
-    legacy: list[Probe] = []
-    trace_probe = contention_probe = None
-    if record_trace:
-        warnings.warn(
-            "record_trace is deprecated; attach a repro.telemetry."
-            "TraceSnapshotCollector via telemetry= instead",
-            DeprecationWarning,
-            stacklevel=stacklevel,
-        )
-        from ..telemetry.collectors import TraceSnapshotCollector
-
-        trace_probe = TraceSnapshotCollector()
-        legacy.append(trace_probe)
-    if record_contention:
-        warnings.warn(
-            "record_contention is deprecated; attach a repro.telemetry."
-            "EdgeContentionCollector via telemetry= instead",
-            DeprecationWarning,
-            stacklevel=stacklevel,
-        )
-        from ..telemetry.collectors import EdgeContentionCollector
-
-        contention_probe = EdgeContentionCollector()
-        legacy.append(contention_probe)
-    return legacy, trace_probe, contention_probe
-
-
-def legacy_extra(trace_probe, contention_probe) -> dict:
-    """``extra`` keys for the deprecated ``record_*`` kwargs."""
-    extra: dict = {}
-    if trace_probe is not None:
-        extra["trace"] = trace_probe.matrix
-    if contention_probe is not None:
-        extra["edge_contention"] = contention_probe.denied
-    return extra
-
-
-# ----------------------------------------------------------------------
-# The synchronous step loop.
-# ----------------------------------------------------------------------
-
-
-class StepLoop:
-    """The synchronous step protocol shared by every router.
-
-    The loop owns everything that is *not* the buffer model: time
-    advance, release gating (a message released at ``r`` first contends
-    at step ``r + 1``), idle-gap skipping (when nothing is released the
-    clock jumps to the next release), the step cap, deadlock
-    declaration, telemetry abort handling, and result assembly.  The
-    router supplies a ``body(t, active)`` callback that advances its
-    buffer model for one step:
-
-    * ``active`` is the boolean mask of released, unfinished messages;
-    * the body mutates :attr:`completion`, :attr:`done`, and
-      :attr:`blocked` in place and dispatches its own probe events
-      (grant/block/release/complete/step — their order is part of each
-      router's contract);
-    * it returns ``True`` iff any message moved this step.
-
-    When the body reports no movement while every pending message is
-    already released, the configuration can never change again and the
-    loop declares deadlock (``detect_deadlock=False`` opts out for
-    models that cannot deadlock, e.g. greedy store-and-forward).  The
-    ``on_deadlock`` / ``on_run_end`` lifecycle events and the
-    ``telemetry_abort`` annotation are dispatched here so routers
-    cannot drift apart in their protocol behavior.
-    """
-
-    def __init__(
-        self,
-        num_messages: int,
-        release: np.ndarray,
-        max_steps: int,
-        probes: "ProbeSet | None" = None,
-        *,
-        detect_deadlock: bool = True,
-        time_scale: int = 1,
-    ) -> None:
-        self.M = int(num_messages)
-        self.release = release
-        self.max_steps = int(max_steps)
-        self.probes = probes
-        self.detect_deadlock = detect_deadlock
-        self.time_scale = int(time_scale)
-        self.completion = np.full(self.M, -1, dtype=np.int64)
-        self.blocked = np.zeros(self.M, dtype=np.int64)
-        self.done = np.zeros(self.M, dtype=bool)
-        self.t = 0
-
-    @property
-    def pending(self) -> int:
-        return int(self.M - self.done.sum())
-
-    def mark_trivial(self, trivial: np.ndarray, completion: np.ndarray) -> None:
-        """Deliver zero-length-path messages at their release time."""
-        self.done |= trivial
-        self.completion[trivial] = completion[trivial]
-
-    def run(
-        self,
-        body: Callable[[int, np.ndarray], bool],
-        extra_factory: Callable[[], dict] | None = None,
-    ) -> SimulationResult:
-        release, done, probes = self.release, self.done, self.probes
-        t = self.t
-        while (self.M - done.sum()) and t < self.max_steps:
-            t += 1
-            active = ~done & (release < t)
-            if not active.any():
-                # Jump to the next release to avoid idling through gaps.
-                t = int(release[~done].min())
-                continue
-            moved = body(t, active)
-            if probes is not None and probes.aborted:
-                break
-            if (
-                not moved
-                and self.detect_deadlock
-                and bool((release[~done] < t).all())
-            ):
-                # Nothing moved and every pending message is already
-                # released: the configuration can never change.
-                self.t = t
-                result = self._result(True, False, extra_factory)
-                if probes is not None:
-                    probes.on_deadlock(t, np.flatnonzero(~done))
-                    probes.on_run_end(result)
-                return result
-        self.t = t
-        result = self._result(False, self.pending > 0, extra_factory)
-        if probes is not None:
-            if probes.aborted:
-                result.extra["telemetry_abort"] = probes.abort_reason
-            probes.on_run_end(result)
-        return result
-
-    def _result(
-        self,
-        deadlocked: bool,
-        hit_step_cap: bool,
-        extra_factory: Callable[[], dict] | None,
-    ) -> SimulationResult:
-        return SimulationResult(
-            completion_times=self.completion,
-            makespan=int(self.completion.max()),
-            steps_executed=self.t * self.time_scale,
-            blocked_steps=self.blocked,
-            deadlocked=deadlocked,
-            hit_step_cap=hit_step_cap,
-            extra=extra_factory() if extra_factory is not None else {},
-        )
-
-
-# ----------------------------------------------------------------------
 # The batched (lockstep) step loop.
 # ----------------------------------------------------------------------
 
 _FAR_FUTURE = np.iinfo(np.int64).max
 
 
+def _per_trial(value, T: int, name: str) -> np.ndarray:
+    """Broadcast a scalar or per-trial sequence to a ``(T,)`` array."""
+    arr = np.asarray(value, dtype=np.int64)
+    if arr.ndim == 0:
+        return np.full(T, int(arr), dtype=np.int64)
+    if arr.shape != (T,):
+        raise NetworkError(
+            f"{name} must be a scalar or match the {T} seeds "
+            f"(one entry per trial), got shape {arr.shape}"
+        )
+    return arr.copy()
+
+
 class BatchStepLoop:
-    """The :class:`StepLoop` protocol for ``T`` independent trials.
+    """The synchronous step protocol for ``T`` independent trials.
 
     All trials share one clock and one ``body(t, active)`` call per
-    step; per-trial state lives in stacked ``(T, M)`` arrays.  The loop
-    reproduces the serial protocol *per trial*:
+    step; per-trial state lives in stacked ``(T, M)`` arrays.  A serial
+    simulator run is this loop at ``T = 1``.  The loop owns everything
+    that is *not* the buffer model, per trial:
 
+    * release gating: a message released at ``r`` first contends at
+      step ``r + 1``;
     * ``active`` is the ``(T, M)`` mask of released, unfinished
       messages of still-running trials; the body mutates
       :attr:`completion` / :attr:`done` / :attr:`blocked` in place and
-      returns the ``(T,)`` mask of trials in which any message moved;
+      returns the ``(T,)`` mask of trials in which any message moved
+      (only active messages move, so it lies inside the trials with
+      active messages);
     * a trial whose last message completes at step ``t`` is finalized
       with ``steps = t`` and drops out of the active set — the batch
       never stalls on it again;
     * a trial that executed a step without movement while every one of
-      its pending messages was already released is declared deadlocked
-      at that step (``detect_deadlock=False`` opts out);
+      its pending messages was already released can never change
+      configuration again and is declared deadlocked at that step
+      (``detect_deadlock=False`` opts out for models that cannot
+      deadlock, e.g. greedy store-and-forward);
     * each trial has its own step cap; a trial that is still pending
       after executing step ``max_steps[i]`` is finalized with the cap
-      flag, exactly like the serial loop's exit condition;
+      flag;
     * idle trials (pending messages, none released yet) wait without
       consuming work; when *every* live trial is idle the shared clock
-      jumps to the earliest next release, mirroring the serial loop's
-      idle-gap skip.  A trial whose next release lies at or beyond its
-      step cap is finalized with ``steps`` = that release time and the
-      cap flag set — the serial loop's jump-past-the-cap exit.
+      jumps to the earliest next release (idle-gap skipping).  A trial
+      whose next release lies at or beyond its step cap is finalized
+      with ``steps`` = that release time and the cap flag set.
+
+    Telemetry is a ``T = 1`` feature: a runner that attaches a
+    :class:`~repro.telemetry.probe.ProbeSet` sets :attr:`probes` before
+    :meth:`run`.  The loop then stops at the first step after which the
+    probes report an abort (pending messages make that a capped run),
+    and :meth:`results` dispatches ``on_deadlock`` / ``on_run_end`` and
+    records ``extra["telemetry_abort"]`` — so the lifecycle tail is the
+    same for every router.
 
     Bit-exactness per trial holds because a trial's state evolves only
     in steps where it has active messages, and those steps happen at
-    the same ``t`` with the same inputs as in its own serial run; the
+    the same ``t`` with the same inputs as in its own ``T = 1`` run; the
     steps it merely waits through touch none of its state.
+
+    The per-step bookkeeping is a handful of NumPy calls whatever ``T``
+    is: one comparison against a per-message release gate (``release``
+    while pending, never once done) yields the active mask, and the
+    finish, deadlock and cap checks run only on the steps where a
+    message completed, a trial stood still, or the clock reached the
+    smallest live cap.
     """
+
+    #: Probes of a ``T = 1`` run (see the class docstring), or ``None``.
+    probes: "ProbeSet | None" = None
 
     def __init__(
         self,
@@ -670,88 +471,120 @@ class BatchStepLoop:
         detect_deadlock: bool = True,
         time_scale: int | np.ndarray = 1,
     ) -> None:
-        self.T = int(num_trials)
-        self.M = int(num_messages)
+        T = self.T = int(num_trials)
+        M = self.M = int(num_messages)
         # Releases may differ per trial (store-and-forward converts flit
-        # steps to per-trial message steps): accept (M,) or (T, M).
-        self.release = np.broadcast_to(
-            np.asarray(release, dtype=np.int64), (self.T, self.M)
-        )
-        self.max_steps = np.broadcast_to(
-            np.asarray(max_steps, dtype=np.int64), (self.T,)
-        ).copy()
+        # steps to per-trial message steps): (M,) or (T, M), broadcast.
+        self.release = np.asarray(release, dtype=np.int64)
+        self.max_steps = _per_trial(max_steps, T, "max_steps")
         self.detect_deadlock = detect_deadlock
-        self.time_scale = np.broadcast_to(
-            np.asarray(time_scale, dtype=np.int64), (self.T,)
-        ).copy()
-        self.completion = np.full((self.T, self.M), -1, dtype=np.int64)
-        self.blocked = np.zeros((self.T, self.M), dtype=np.int64)
-        self.done = np.zeros((self.T, self.M), dtype=bool)
-        self.live = np.ones(self.T, dtype=bool)
-        self.steps = np.zeros(self.T, dtype=np.int64)
-        self.deadlocked = np.zeros(self.T, dtype=bool)
-        self.hit_cap = np.zeros(self.T, dtype=bool)
+        self.time_scale = _per_trial(time_scale, T, "time_scale")
+        self.completion = np.full((T, M), -1, dtype=np.int64)
+        self.blocked = np.zeros((T, M), dtype=np.int64)
+        self.done = np.zeros((T, M), dtype=bool)
+        self.live = np.ones(T, dtype=bool)
+        self.steps = np.zeros(T, dtype=np.int64)
+        self.deadlocked = np.zeros(T, dtype=bool)
+        self.hit_cap = np.zeros(T, dtype=bool)
         self.t = 0
 
     def mark_trivial(self, trivial: np.ndarray, completion: np.ndarray) -> None:
-        """Deliver zero-length-path messages at their release time."""
-        completion = np.broadcast_to(
-            np.asarray(completion, dtype=np.int64), (self.T, self.M)
-        )
-        self.done[:, trivial] = True
-        self.completion[:, trivial] = completion[:, trivial]
+        """Deliver zero-length-path messages at their release time.
 
-    def _finalize(self, mask: np.ndarray, t: int) -> None:
-        self.steps[mask] = t
-        self.live[mask] = False
+        ``completion`` is ``(M,)`` (shared) or ``(T, M)`` (per trial).
+        """
+        if not trivial.any():
+            return
+        self.done[:, trivial] = True
+        self.completion[:, trivial] = np.asarray(completion)[..., trivial]
+
+    def _end(self, trials: np.ndarray, steps) -> None:
+        """Finalize ``trials`` (a mask or indices) after ``steps`` steps."""
+        self.steps[trials] = steps
+        self.live[trials] = False
+        self._gate[trials] = _FAR_FUTURE
+        self._n_live = int(np.count_nonzero(self.live))
+
+    def _end_finished(self, t: int) -> None:
+        """Finalize the live trials whose every message is done."""
+        finished = self.live & self.done.all(axis=1)
+        if finished.any():
+            self._end(finished, t)
+
+    def _end_capped(self, t: int, active: np.ndarray | None = None) -> None:
+        """Finalize the live trials whose step cap ``t`` has reached.
+
+        A trial that was idle at step ``t`` (no row of ``active``) ends at
+        its next release instead: its own clock would have jumped there.
+        """
+        capped = np.flatnonzero(self.live & (t >= self.max_steps))
+        if capped.size:
+            steps = np.full(capped.size, t, dtype=np.int64)
+            if active is not None:
+                idle = ~active[capped].any(axis=1)
+                steps[idle] = self._gate[capped[idle]].min(axis=1)
+            self.hit_cap[capped] = True
+            self._end(capped, steps)
 
     def run(self, body: Callable[[int, np.ndarray], np.ndarray]) -> None:
         release, done, live = self.release, self.done, self.live
+        max_steps, probes = self.max_steps, self.probes
+        detect_deadlock = self.detect_deadlock
         t = self.t
-        # Trials with nothing to do (all paths trivial) end at step 0.
-        self._finalize(live & done.all(axis=1), t)
-        while live.any():
+        # gate < t is the active mask: a pending message's release time,
+        # _FAR_FUTURE once it is done or its trial has ended.
+        gate = self._gate = np.where(done, _FAR_FUTURE, release)
+        self._n_live = int(np.count_nonzero(live))
+        # Trials with nothing to do (all paths trivial) end at step 0; a
+        # cap at or below the starting clock ends a trial unstepped.
+        self._end_finished(t)
+        self._end_capped(t)
+        n_done = np.count_nonzero(done)
+        next_cap = int(max_steps.min()) if self.T else 0
+        while self._n_live:
             t += 1
-            active = live[:, None] & ~done & (release < t)
-            act_any = active.any(axis=1)
-            idle = live & ~act_any
-            if idle.any():
-                # The serial loop jumps an idle trial's clock to its next
-                # release; a jump landing at or past the trial's step cap
-                # exits right there with the cap flag set.
-                rows = np.flatnonzero(idle)
-                minrel = np.where(
-                    done[rows], _FAR_FUTURE, release[rows]
-                ).min(axis=1)
-                over = minrel >= self.max_steps[rows]
+            active = gate < t
+            if not np.count_nonzero(active):
+                # Every live trial is idle: a trial whose next release
+                # lies at or past its step cap ends right there, and the
+                # shared clock jumps to the earliest remaining release.
+                rows = np.flatnonzero(live)
+                minrel = gate[rows].min(axis=1)
+                over = minrel >= max_steps[rows]
                 if over.any():
-                    self.steps[rows[over]] = minrel[over]
                     self.hit_cap[rows[over]] = True
-                    live[rows[over]] = False
-                if not act_any.any():
-                    if not over.all():
-                        # Every surviving trial is idle: jump the shared
-                        # clock to the earliest next release.
-                        t = int(minrel[~over].min())
-                    continue
-                active &= live[:, None]
+                    self._end(rows[over], minrel[over])
+                if not over.all():
+                    t = int(minrel[~over].min())
+                continue
+            n_live = self._n_live
             moved = body(t, active)
-            # 1) trials whose last message finished this step
-            self._finalize(live & done.all(axis=1), t)
-            # 2) deadlock: a trial that executed this step without any
-            # movement while all its pending messages were released can
-            # never change configuration again.
-            if self.detect_deadlock:
-                stuck = live & act_any & ~moved
-                if stuck.any():
-                    unreleased = (~done & (release >= t)).any(axis=1)
-                    dead = stuck & ~unreleased
+            if probes is not None and probes.aborted:
+                # Stop where the probes asked to; pending messages make
+                # the run a capped one.
+                self.hit_cap |= live & ~done.all(axis=1)
+                self._end(live.copy(), t)
+                break
+            n = np.count_nonzero(done)
+            if n != n_done:
+                # 1) trials whose last message finished this step
+                n_done = n
+                np.copyto(gate, _FAR_FUTURE, where=done)
+                self._end_finished(t)
+            if detect_deadlock and np.count_nonzero(moved) < n_live:
+                # 2) deadlock: a trial that executed this step without any
+                # movement while all its pending messages were released.
+                stuck = live & ~moved & active.any(axis=1)
+                unreleased = (~done & (release >= t)).any(axis=1)
+                dead = stuck & ~unreleased
+                if dead.any():
                     self.deadlocked |= dead
-                    self._finalize(dead, t)
-            # 3) per-trial step caps.
-            capped = live & (t >= self.max_steps)
-            self.hit_cap[capped] = True
-            self._finalize(capped, t)
+                    self._end(dead, t)
+            if t >= next_cap:
+                # 3) per-trial step caps.
+                self._end_capped(t, active)
+                if self._n_live:
+                    next_cap = int(max_steps[live].min())
         self.t = t
 
     def results(
@@ -760,7 +593,9 @@ class BatchStepLoop:
         """Per-trial :class:`SimulationResult` objects, in trial order.
 
         ``extra_factory(i)`` supplies trial ``i``'s ``extra`` dict (e.g.
-        the store-and-forward per-trial queue-depth telemetry).
+        the store-and-forward per-trial queue-depth telemetry).  With
+        :attr:`probes` attached this also ends the run's telemetry: a
+        deadlock event, the abort annotation, and ``on_run_end``.
         """
         out = []
         for i in range(self.T):
@@ -776,4 +611,14 @@ class BatchStepLoop:
                     extra=extra_factory(i) if extra_factory is not None else {},
                 )
             )
+        probes = self.probes
+        if probes is not None:
+            (result,) = out
+            if result.deadlocked:
+                probes.on_deadlock(
+                    int(self.steps[0]), np.flatnonzero(~self.done[0])
+                )
+            elif probes.aborted:
+                result.extra["telemetry_abort"] = probes.abort_reason
+            probes.on_run_end(result)
         return out

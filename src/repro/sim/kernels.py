@@ -1,4 +1,4 @@
-"""Model-parameterized batched kernels: one body per router, two drivers.
+"""Model-parameterized batched kernels: one body per router, one step loop.
 
 Every router in :mod:`repro.sim` advances the same struct-of-arrays
 state shape — per-(trial, message) integers stacked as ``(T, M)``
@@ -12,17 +12,12 @@ for adaptive meshes.  This module holds those semantics as five kernel
 classes, each exposing one vectorized ``body(t, active)`` over ``(T, M)``
 state.
 
-The same body drives both execution paths:
-
-* **batched** — :mod:`repro.sim.batch` builds the kernel at ``T`` trials
-  over a :class:`~repro.sim.engine.BatchStepLoop` and steps all trials
-  in lockstep (one contend/rank/grant call per step over the combined
-  ``(trial, slot)`` key space);
-* **serial** — each legacy simulator class builds the kernel at
-  ``T = 1`` over the scalar :class:`~repro.sim.engine.StepLoop` (which
-  owns the probe lifecycle) through :func:`serial_state`, a ``(1, M)``
-  view of the loop's flat arrays.  There is exactly one arbitration
-  implementation per model.
+:mod:`repro.sim.batch` builds the kernel at ``T`` trials over a
+:class:`~repro.sim.engine.BatchStepLoop` and steps all trials in
+lockstep (one contend/rank/grant call per step over the combined
+``(trial, slot)`` key space).  A serial simulator class is the same
+runner at ``T = 1``, so there is exactly one arbitration implementation
+and one step loop per model.
 
 Bit-exactness contract
 ----------------------
@@ -32,8 +27,9 @@ RNG in exactly the serial order (draws happen only in steps/phases where
 that trial acts), the combined arbitration key space keeps trials'
 slot groups disjoint, and a trial's state is only read or written where
 it has active messages.  Telemetry probes are supported at ``T = 1``
-only (the serial path), where each kernel reproduces the legacy event
-stream call for call, in the same order.
+only (the runners reject them otherwise), where each kernel reproduces
+the legacy event stream call for call, in the same order; the
+restricted kernel emits no events.
 """
 
 from __future__ import annotations
@@ -54,7 +50,6 @@ __all__ = [
     "RestrictedKernel",
     "StoreForwardKernel",
     "WormholeKernel",
-    "serial_state",
     "validate_vc_ids",
 ]
 
@@ -66,26 +61,6 @@ _EMPTY_IDX = np.zeros(0, dtype=np.int64)
 # admission stamps sort below _HDR_BASE, header keys at _HDR_BASE + site,
 # ineligible entries at _FAR.
 _HDR_BASE = np.int64(1) << 40
-
-
-class _SerialState:
-    """``(1, M)`` views of a serial :class:`StepLoop`'s state arrays.
-
-    Basic-indexing views, so kernel writes propagate straight into the
-    loop's ``completion`` / ``done`` / ``blocked`` arrays.
-    """
-
-    __slots__ = ("completion", "done", "blocked")
-
-    def __init__(self, loop) -> None:
-        self.completion = loop.completion[None, :]
-        self.done = loop.done[None, :]
-        self.blocked = loop.blocked[None, :]
-
-
-def serial_state(loop) -> _SerialState:
-    """Adapt a scalar :class:`~repro.sim.engine.StepLoop` for a kernel."""
-    return _SerialState(loop)
 
 
 def validate_vc_ids(
@@ -103,19 +78,6 @@ def validate_vc_ids(
     return vc_padded
 
 
-def _check_serial_probes(probes, T: int) -> None:
-    """Probes are a serial-path (``T = 1``) contract; hard-fail otherwise.
-
-    A bare ``assert`` here would vanish under ``python -O`` and silently
-    emit a garbled multi-trial event stream instead.
-    """
-    if probes is not None and T != 1:
-        raise NetworkError(
-            "telemetry probes are supported on the serial path only "
-            f"(T = 1), got T = {T}"
-        )
-
-
 class _RandomBlock:
     """Buffered per-trial uniform draws, bit-identical to per-call draws.
 
@@ -130,9 +92,9 @@ class _RandomBlock:
     but amortize over ~``block / M`` rounds.
 
     Only used at ``T > 1``: batch RNGs are created per batch run and
-    discarded, so the over-drawn tail is unobservable.  The serial path
-    keeps its one-draw-per-round call — serial simulator instances can
-    be run twice on one continuing stream.
+    discarded, so the over-drawn tail is unobservable.  A ``T = 1`` run
+    keeps its one-draw-per-round call — its generator may be a serial
+    simulator instance's, whose stream continues into the next run.
     """
 
     __slots__ = ("rngs", "T", "block", "buf", "cur")
@@ -163,13 +125,10 @@ class _RandomBlock:
 
 
 class _Kernel:
-    """Common driver plumbing: a ``(T,) -> bool`` adapter for ``T = 1``."""
+    """Common plumbing: per-trial random priorities in serial draw order."""
 
     probes = None
     _rand_block: "_RandomBlock | None" = None
-
-    def serial_body(self, t: int, active: np.ndarray) -> bool:
-        return bool(self.body(t, active[None, :])[0])
 
     def _random_prio(self, rows: np.ndarray) -> np.ndarray:
         """One uniform priority per contender, in serial draw order.
@@ -219,7 +178,6 @@ class WormholeKernel(_Kernel):
         probes=None,
     ) -> None:
         T, M = len(rngs), int(lengths.size)
-        _check_serial_probes(probes, T)
         self.state = state
         self.T, self.M = T, M
         self.padded = padded
@@ -359,7 +317,6 @@ class CutThroughKernel(_Kernel):
         probes=None,
     ) -> None:
         T, M = len(rngs), int(lengths.size)
-        _check_serial_probes(probes, T)
         self.state = state
         self.T, self.M = T, M
         self.num_edges = int(num_edges)
@@ -651,16 +608,13 @@ class StoreForwardKernel(_Kernel):
         probes=None,
     ) -> None:
         T, M = len(rngs), int(lengths.size)
-        _check_serial_probes(probes, T)
         self.state = state
         self.T, self.M = T, M
         self.num_edges = int(num_edges)
         self.padded = padded
         self.D = lengths
-        # Release times in *message steps*, per trial: (T, M) or (M,).
-        self.release = np.broadcast_to(
-            np.asarray(release, dtype=np.int64), (T, M)
-        )
+        # Release times in *message steps*, per trial: (T, M).
+        self.release = release
         self.hop = hop
         self.priority = priority
         self.rngs = rngs
@@ -741,11 +695,8 @@ class RestrictedKernel(_Kernel):
         message_length: np.ndarray,
         capacities: np.ndarray,
         rngs: list,
-        probes=None,
     ) -> None:
         T, M = len(rngs), int(lengths.size)
-        if probes is not None:
-            raise NetworkError("restricted model has no telemetry hooks")
         self.state = state
         self.T, self.M = T, M
         self.num_edges = int(num_edges)
@@ -979,7 +930,6 @@ class AdaptiveKernel(_Kernel):
         probes=None,
     ) -> None:
         T, M = len(rngs), len(demands)
-        _check_serial_probes(probes, T)
         self.state = state
         self.T, self.M = T, M
         self.L = int(message_length)

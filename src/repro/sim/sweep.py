@@ -49,7 +49,13 @@ import numpy as np
 from ..cache import CACHE_VERSION as _CACHE_VERSION
 from ..cache import ResultCache, load_entry, store_entry
 from ..network.graph import NetworkError
-from .batch import BATCHED_MODELS, batch_compat_key
+from .batch import (
+    BATCHED_MODELS,
+    MODEL_SPECS,
+    batch_compat_key,
+    run_trial,
+    run_trials,
+)
 
 __all__ = [
     "DEFAULT_BATCH_SIZE",
@@ -403,74 +409,32 @@ def _sim_seed(sp: dict[str, Any], ss: np.random.SeedSequence):
     return sp["seed"] if "seed" in sp else ss
 
 
-def _run_wormhole(wl: Workload, spec: TrialSpec, ss, L: int) -> dict[str, Any]:
-    from .wormhole import WormholeSimulator
+def _model_metrics(res) -> dict[str, Any]:
+    """A flit-level trial's metrics (store-and-forward adds its queue peak)."""
+    metrics = _result_metrics(res)
+    if "max_queue" in res.extra:
+        metrics["max_queue"] = int(res.extra["max_queue"])
+    return metrics
 
+
+def _choice(model: str, sp: dict[str, Any]) -> str | None:
+    """The spec's arbitration setting for ``model`` (``None`` = default)."""
+    key = MODEL_SPECS[model].choice
+    return None if key is None else sp.get(key)
+
+
+def _run_model(wl: Workload, spec: TrialSpec, ss, L: int) -> dict[str, Any]:
+    """One flit-level trial through its model's serial simulator class."""
     sp = dict(spec.sim_params)
-    sim = WormholeSimulator(
-        wl.net,
-        num_virtual_channels=spec.B,
-        priority=sp.get("priority", "random"),
+    res = run_trial(
+        spec.simulator,
+        wl,
+        L,
         seed=_sim_seed(sp, ss),
+        B=spec.B,
+        choice=_choice(spec.simulator, sp),
     )
-    return _result_metrics(sim.run(wl.padded_paths(), message_length=L))
-
-
-def _run_cut_through(wl: Workload, spec: TrialSpec, ss, L: int) -> dict[str, Any]:
-    from .cut_through import CutThroughSimulator
-
-    sp = dict(spec.sim_params)
-    sim = CutThroughSimulator(
-        wl.net,
-        buffer_flits=spec.B,
-        priority=sp.get("priority", "random"),
-        seed=_sim_seed(sp, ss),
-    )
-    return _result_metrics(sim.run(wl.padded_paths(), message_length=L))
-
-
-def _run_store_forward(wl: Workload, spec: TrialSpec, ss, L: int) -> dict[str, Any]:
-    from .store_forward import StoreForwardSimulator
-
-    sp = dict(spec.sim_params)
-    sim = StoreForwardSimulator(
-        wl.net,
-        bandwidth_flits_per_step=spec.B,
-        priority=sp.get("priority", "farthest"),
-        seed=_sim_seed(sp, ss),
-    )
-    res = sim.run(wl.padded_paths(), message_length=L)
-    out = _result_metrics(res)
-    out["max_queue"] = int(res.extra["max_queue"])
-    return out
-
-
-def _run_restricted(wl: Workload, spec: TrialSpec, ss, L: int) -> dict[str, Any]:
-    from .restricted import RestrictedWormholeSimulator
-
-    sp = dict(spec.sim_params)
-    sim = RestrictedWormholeSimulator(
-        wl.net, num_buffers=spec.B, seed=_sim_seed(sp, ss)
-    )
-    return _result_metrics(sim.run(wl.padded_paths(), message_length=L))
-
-
-def _run_adaptive(wl: Workload, spec: TrialSpec, ss, L: int) -> dict[str, Any]:
-    from .adaptive import AdaptiveMeshRouter
-
-    if wl.cube is None or wl.demands is None:
-        raise NetworkError(
-            f"workload {spec.workload!r} has no mesh demands; "
-            "the adaptive router needs a mesh workload (e.g. mesh-permutation)"
-        )
-    sp = dict(spec.sim_params)
-    router = AdaptiveMeshRouter(
-        wl.cube,
-        num_virtual_channels=spec.B,
-        policy=sp.get("policy", "west-first"),
-        seed=_sim_seed(sp, ss),
-    )
-    return _result_metrics(router.run(wl.demands, message_length=L).result)
+    return _model_metrics(res)
 
 
 def _run_schedule(wl: Workload, spec: TrialSpec, ss, L: int) -> dict[str, Any]:
@@ -500,11 +464,7 @@ def _run_schedule(wl: Workload, spec: TrialSpec, ss, L: int) -> dict[str, Any]:
 
 
 SIMULATORS: dict[str, Callable[..., dict[str, Any]]] = {
-    "wormhole": _run_wormhole,
-    "cut_through": _run_cut_through,
-    "store_forward": _run_store_forward,
-    "restricted": _run_restricted,
-    "adaptive": _run_adaptive,
+    **{model: _run_model for model in MODEL_SPECS},
     "schedule": _run_schedule,
 }
 
@@ -550,78 +510,28 @@ DEFAULT_BATCH_SIZE = 128
 _batch_key = batch_compat_key
 
 
-def _run_batch_model(
-    model: str, wl: Workload, L: int, sp: dict[str, Any], seeds: list, knobs: list
+def _run_compatible(
+    specs: Sequence[TrialSpec], seeds: list
 ) -> list[dict[str, Any]]:
-    """One lockstep call of ``model``'s batch runner; metrics per trial.
+    """One lockstep runner call over compatible specs; metrics per trial.
 
-    ``knobs`` is the per-trial ``B`` axis (virtual channels, buffer
-    flits, bandwidth, ...) — the one simulator parameter every runner
-    vectorizes over trials.  Shared by the sweep's batch worker and the
-    service's :func:`repro.service.batcher.execute_compatible` so the
-    two dispatch tables cannot drift.
+    All specs share :func:`_batch_key`; ``seeds[i]`` is spec ``i``'s
+    derived seed and its ``B`` rides the model's per-trial knob.  Shared
+    by the sweep's batch worker and the service's
+    :func:`repro.service.batcher.execute_compatible`.
     """
-    from . import batch as _batch
-
-    if model == "wormhole":
-        results = _batch.run_wormhole_batch(
-            wl.net,
-            wl.padded_paths(),
-            message_length=L,
-            seeds=seeds,
-            num_virtual_channels=knobs,
-            priority=sp.get("priority", "random"),
-        )
-    elif model == "cut_through":
-        results = _batch.run_cut_through_batch(
-            wl.net,
-            wl.padded_paths(),
-            message_length=L,
-            seeds=seeds,
-            buffer_flits=knobs,
-            priority=sp.get("priority", "random"),
-        )
-    elif model == "store_forward":
-        results = _batch.run_store_forward_batch(
-            wl.net,
-            wl.padded_paths(),
-            message_length=L,
-            seeds=seeds,
-            bandwidth_flits_per_step=knobs,
-            priority=sp.get("priority", "farthest"),
-        )
-    elif model == "restricted":
-        results = _batch.run_restricted_batch(
-            wl.net,
-            wl.padded_paths(),
-            message_length=L,
-            seeds=seeds,
-            num_buffers=knobs,
-        )
-    elif model == "adaptive":
-        if wl.cube is None or wl.demands is None:
-            raise NetworkError(
-                "this workload has no mesh demands; the adaptive router "
-                "needs a mesh workload (e.g. mesh-permutation)"
-            )
-        runs = _batch.run_adaptive_batch(
-            wl.cube,
-            wl.demands,
-            message_length=L,
-            seeds=seeds,
-            num_virtual_channels=knobs,
-            policy=sp.get("policy", "west-first"),
-        )
-        results = [r.result for r in runs]
-    else:  # pragma: no cover - callers only batch _BATCH_SIMULATORS
-        raise NetworkError(f"simulator {model!r} has no batch runner")
-    out = []
-    for res in results:
-        metrics = _result_metrics(res)
-        if model == "store_forward":
-            metrics["max_queue"] = int(res.extra["max_queue"])
-        out.append(_finish_metrics(metrics, wl, L))
-    return out
+    spec0 = specs[0]
+    wl = _build_workload(spec0.workload, spec0.workload_params)
+    L = wl.default_length if spec0.message_length is None else spec0.message_length
+    results = run_trials(
+        spec0.simulator,
+        wl,
+        L,
+        seeds=seeds,
+        B=[s.B for s in specs],
+        choice=_choice(spec0.simulator, dict(spec0.sim_params)),
+    )
+    return [_finish_metrics(_model_metrics(r), wl, L) for r in results]
 
 
 def _execute_batch(
@@ -630,14 +540,8 @@ def _execute_batch(
     """Run one lockstep batch; per-trial metrics in input order."""
     specs, root_seed = item
     start = time.perf_counter()
-    spec0 = specs[0]
-    wl = _build_workload(spec0.workload, spec0.workload_params)
-    L = wl.default_length if spec0.message_length is None else spec0.message_length
-    sp = dict(spec0.sim_params)
     seeds = [_sim_seed(dict(s.sim_params), trial_seed(s, root_seed)) for s in specs]
-    metrics = _run_batch_model(
-        spec0.simulator, wl, L, sp, seeds, [s.B for s in specs]
-    )
+    metrics = _run_compatible(specs, seeds)
     elapsed = (time.perf_counter() - start) / len(specs)
     return [(m, elapsed) for m in metrics]
 

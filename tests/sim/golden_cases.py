@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -142,21 +141,19 @@ def wormhole_probes():
 
 
 def wormhole_legacy_kwargs():
+    """The retired ``record_trace`` / ``record_contention`` outputs, now
+    recorded by the collectors that replaced them."""
     from repro.sim.wormhole import WormholeSimulator
+    from repro.telemetry import EdgeContentionCollector, TraceSnapshotCollector
 
     net, paths = _chain_workload()
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        res = WormholeSimulator(net, 2, priority="random", seed=1).run(
-            paths,
-            message_length=12,
-            record_trace=True,
-            record_contention=True,
-        )
+    trace, contention = TraceSnapshotCollector(), EdgeContentionCollector()
+    res = WormholeSimulator(net, 2, priority="random", seed=1).run(
+        paths, message_length=12, telemetry=[trace, contention]
+    )
     out = _summarize(res)
-    out["extra_keys"] = sorted(res.extra)
-    out["trace_matrix_digest"] = _digest(res.extra["trace"])
-    out["contention_digest"] = _digest(res.extra["edge_contention"])
+    out["trace_matrix_digest"] = _digest(trace.matrix)
+    out["contention_digest"] = _digest(contention.denied)
     return out
 
 

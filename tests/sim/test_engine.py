@@ -5,15 +5,13 @@ import pytest
 
 from repro.network.graph import NetworkError
 from repro.sim.engine import (
-    SlotArbiter,
-    StepLoop,
+    BatchSlotArbiter,
+    BatchStepLoop,
     age_priorities,
     check_edge_simple,
-    compat_check_edge_simple,
     default_step_cap,
     grant_free_slots,
-    legacy_extra,
-    legacy_record_probes,
+    grant_free_slots_reference,
     pad_paths,
     resolve_step_cap,
 )
@@ -62,38 +60,46 @@ def test_grant_full_slot_admits_nobody():
 
 
 # ----------------------------------------------------------------------
-# SlotArbiter
+# BatchSlotArbiter at T = 1
 # ----------------------------------------------------------------------
+
+_ONE = np.zeros(1, dtype=np.int64)
+
+
+def _one_trial(n):
+    return np.zeros(n, dtype=np.int64)
 
 
 def test_arbiter_contend_acquire_vacate_roundtrip():
-    arb = SlotArbiter(3, capacity=1)
+    arb = BatchSlotArbiter([3], [1])
     slots = np.array([0, 0, 2], dtype=np.int64)
     prio = np.array([0.9, 0.1, 0.5])
-    granted = arb.contend(slots, prio)
+    granted = arb.contend(_one_trial(3), slots, prio)
     assert granted.tolist() == [False, True, True]
-    arb.acquire(slots[granted])
+    arb.acquire(_one_trial(int(granted.sum())), slots[granted])
     assert arb.occupancy.tolist() == [1, 0, 1]
     # Slot 0 is now full: nobody else gets in.
-    again = arb.contend(np.array([0], dtype=np.int64), np.array([0.0]))
+    again = arb.contend(_ONE, np.array([0], dtype=np.int64), np.array([0.0]))
     assert again.tolist() == [False]
-    arb.vacate(slots[granted])
+    arb.vacate(_one_trial(int(granted.sum())), slots[granted])
     assert arb.occupancy.tolist() == [0, 0, 0]
 
 
 def test_arbiter_scalar_interface():
-    arb = SlotArbiter(2, capacity=2)
-    assert arb.has_free(1)
-    arb.acquire_one(1)
-    arb.acquire_one(1)
-    assert not arb.has_free(1)
-    arb.vacate_one(1)
-    assert arb.has_free(1)
+    """One slot at a time: a capacity-2 slot fills, denies, and frees."""
+    arb = BatchSlotArbiter([2], [2])
+    slot = np.array([1], dtype=np.int64)
+    assert arb.contend(_ONE, slot, np.zeros(1)).tolist() == [True]
+    arb.acquire(_ONE, slot)
+    arb.acquire(_ONE, slot)
+    assert arb.contend(_ONE, slot, np.zeros(1)).tolist() == [False]
+    arb.vacate(_ONE, slot)
+    assert arb.contend(_ONE, slot, np.zeros(1)).tolist() == [True]
 
 
 def test_arbiter_duplicate_slots_in_one_acquire():
-    arb = SlotArbiter(1, capacity=2)
-    arb.acquire(np.array([0, 0], dtype=np.int64))
+    arb = BatchSlotArbiter([1], [2])
+    arb.acquire(_one_trial(2), np.array([0, 0], dtype=np.int64))
     assert arb.occupancy.tolist() == [2]
 
 
@@ -119,14 +125,6 @@ def test_check_edge_simple_custom_message():
     padded, _ = pad_paths([[5, 5]])
     with pytest.raises(NetworkError, match="worm 0 loops"):
         check_edge_simple(padded, what="worm {m} loops")
-
-
-def test_compat_shim_drops_lengths_argument():
-    padded, lengths = pad_paths([[1, 2], [2, 1]])
-    compat_check_edge_simple(padded, lengths)  # legacy two-arg call
-    bad, bad_len = pad_paths([[7, 7]])
-    with pytest.raises(NetworkError):
-        compat_check_edge_simple(bad, bad_len)
 
 
 # ----------------------------------------------------------------------
@@ -176,68 +174,43 @@ def test_default_cap_unknown_model():
 
 
 # ----------------------------------------------------------------------
-# legacy telemetry shims
+# The step loop at T = 1 (a serial run) and mixed
 # ----------------------------------------------------------------------
 
 
-def test_legacy_record_probes_warns_once_per_flag():
-    with pytest.warns(DeprecationWarning, match="record_trace is deprecated"):
-        extra, trace, contention = legacy_record_probes(True, False, stacklevel=2)
-    assert trace is not None and contention is None and extra == [trace]
-    with pytest.warns(
-        DeprecationWarning, match="record_contention is deprecated"
-    ):
-        extra, trace, contention = legacy_record_probes(False, True, stacklevel=2)
-    assert trace is None and contention is not None and extra == [contention]
+def _serial_loop(release, max_steps, **kw):
+    release = np.asarray(release, dtype=np.int64)
+    return BatchStepLoop(1, release.size, release, max_steps, **kw)
 
 
-def test_legacy_record_probes_silent_when_unused():
-    import warnings
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        extra, trace, contention = legacy_record_probes(False, False)
-    assert extra == [] and trace is None and contention is None
-
-
-def test_legacy_extra_keys():
-    with pytest.warns(DeprecationWarning):
-        _, trace, contention = legacy_record_probes(True, True, stacklevel=2)
-    extra = legacy_extra(trace, contention)
-    assert set(extra) == {"trace", "edge_contention"}
-
-
-# ----------------------------------------------------------------------
-# StepLoop
-# ----------------------------------------------------------------------
+def _finish_all(loop, t):
+    loop.completion[:] = t
+    loop.done[:] = True
+    return np.ones(loop.T, dtype=bool)
 
 
 def test_steploop_counts_steps_and_assembles_result():
-    release = np.zeros(2, dtype=np.int64)
-    loop = StepLoop(2, release, max_steps=100)
+    loop = _serial_loop([0, 0], max_steps=100)
 
     def body(t, active):
         if t >= 3:
-            loop.completion[:] = t
-            loop.done[:] = True
-        return True
+            return _finish_all(loop, t)
+        return np.ones(1, dtype=bool)
 
-    result = loop.run(body)
+    loop.run(body)
+    (result,) = loop.results()
     assert result.makespan == 3
     assert result.steps_executed == 3
     assert result.all_delivered and not result.deadlocked
 
 
 def test_steploop_skips_idle_gap():
-    release = np.array([10], dtype=np.int64)
-    loop = StepLoop(1, release, max_steps=100)
+    loop = _serial_loop([10], max_steps=100)
     seen = []
 
     def body(t, active):
         seen.append(t)
-        loop.completion[:] = t
-        loop.done[:] = True
-        return True
+        return _finish_all(loop, t)
 
     loop.run(body)
     # t jumps straight past the idle prefix: first working step is 11.
@@ -245,62 +218,165 @@ def test_steploop_skips_idle_gap():
 
 
 def test_steploop_declares_deadlock_when_nothing_moves():
-    release = np.zeros(1, dtype=np.int64)
-    loop = StepLoop(1, release, max_steps=100)
-    result = loop.run(lambda t, active: False)
+    loop = _serial_loop([0], max_steps=100)
+    loop.run(lambda t, active: np.zeros(1, dtype=bool))
+    (result,) = loop.results()
     assert result.deadlocked and not result.hit_step_cap
     assert result.steps_executed == 1
     assert result.completion_times.tolist() == [-1]
 
 
 def test_steploop_detect_deadlock_off_hits_cap_instead():
-    release = np.zeros(1, dtype=np.int64)
-    loop = StepLoop(1, release, max_steps=5, detect_deadlock=False)
-    result = loop.run(lambda t, active: False)
+    loop = _serial_loop([0], max_steps=5, detect_deadlock=False)
+    loop.run(lambda t, active: np.zeros(1, dtype=bool))
+    (result,) = loop.results()
     assert not result.deadlocked and result.hit_step_cap
     assert result.steps_executed == 5
 
 
 def test_steploop_time_scale_multiplies_steps():
-    release = np.zeros(1, dtype=np.int64)
-    loop = StepLoop(1, release, max_steps=50, time_scale=4)
+    loop = _serial_loop([0], max_steps=50, time_scale=4)
 
     def body(t, active):
-        loop.completion[:] = t * 4
-        loop.done[:] = True
-        return True
+        return _finish_all(loop, t * 4)
 
-    result = loop.run(body)
+    loop.run(body)
+    (result,) = loop.results()
     assert result.steps_executed == 4
     assert result.makespan == 4
 
 
 def test_steploop_mark_trivial_completes_without_stepping():
     release = np.array([2, 0], dtype=np.int64)
-    loop = StepLoop(2, release, max_steps=10)
+    loop = _serial_loop(release, max_steps=10)
     loop.mark_trivial(np.array([True, False]), release)
 
     def body(t, active):
-        loop.completion[1] = t
-        loop.done[1] = True
-        return True
+        assert not active[0, 0]  # the trivial message never contends
+        loop.completion[0, 1] = t
+        loop.done[0, 1] = True
+        return np.ones(1, dtype=bool)
 
-    result = loop.run(body)
+    loop.run(body)
+    (result,) = loop.results()
     assert result.completion_times[0] == 2
     assert result.all_delivered
 
 
 def test_steploop_extra_factory_populates_result():
-    release = np.zeros(1, dtype=np.int64)
-    loop = StepLoop(1, release, max_steps=10)
+    loop = _serial_loop([0], max_steps=10)
+    loop.run(lambda t, active: _finish_all(loop, t))
+    (result,) = loop.results(lambda i: {"marker": 7})
+    assert result.extra == {"marker": 7}
+
+
+def test_steploop_zero_cap_runs_no_step():
+    loop = _serial_loop([0], max_steps=0)
+    seen = []
 
     def body(t, active):
-        loop.completion[:] = t
-        loop.done[:] = True
-        return True
+        seen.append(t)
+        return _finish_all(loop, t)
 
-    result = loop.run(body, lambda: {"marker": 7})
-    assert result.extra == {"marker": 7}
+    loop.run(body)
+    (result,) = loop.results()
+    assert seen == [] and result.hit_step_cap and result.steps_executed == 0
+
+
+def test_steploop_mixed_batch_matches_each_trial_alone():
+    """Trials with different releases, caps, time scales and fates in
+    one loop end exactly as each one does at T = 1: trial 2 deadlocks,
+    and trial 3's first release lies past its cap, which the clock
+    reaches while trial 0 is still working."""
+    release = np.array([[0, 4], [20, 20], [0, 0], [30, 30]], dtype=np.int64)
+    caps = np.array([100, 100, 6, 5])
+    scale = np.array([1, 3, 1, 1])
+    finish_at = {0: 7, 1: 23}
+
+    def run(rows):
+        loop = BatchStepLoop(
+            len(rows), 2, release[rows], caps[rows], time_scale=scale[rows]
+        )
+        seen = {r: [] for r in rows}
+
+        def body(t, active):
+            moved = np.zeros(len(rows), dtype=bool)
+            for i, r in enumerate(rows):
+                if not active[i].any():
+                    continue
+                seen[r].append(t)
+                if r in finish_at:
+                    moved[i] = True
+                    if t == finish_at[r]:
+                        loop.completion[i] = t * scale[r]
+                        loop.done[i] = True
+            return moved
+
+        loop.run(body)
+        return loop.results(lambda i: {"trial": rows[i]}), seen
+
+    mixed, mixed_seen = run([0, 1, 2, 3])
+    for r in range(4):
+        (alone,), alone_seen = run([r])
+        got = mixed[r]
+        assert got.completion_times.tolist() == alone.completion_times.tolist()
+        assert (got.steps_executed, got.deadlocked, got.hit_step_cap) == (
+            alone.steps_executed,
+            alone.deadlocked,
+            alone.hit_step_cap,
+        )
+        assert got.extra == {"trial": r}
+        assert mixed_seen[r] == alone_seen[r]
+    assert [m.steps_executed for m in mixed] == [7, 23 * 3, 1, 30]
+    assert mixed[2].deadlocked and not mixed[1].deadlocked
+    assert mixed[3].hit_step_cap and mixed_seen[3] == []
+
+
+class _Lifecycle:
+    """Records the tail of a run's telemetry lifecycle."""
+
+    def __init__(self, abort_after=None):
+        self.events = []
+        self.aborted = False
+        self.abort_reason = None
+        self._abort_after = abort_after
+
+    def step(self, t):
+        if self._abort_after is not None and t >= self._abort_after:
+            self.aborted, self.abort_reason = True, f"stop at {t}"
+
+    def on_deadlock(self, t, stuck):
+        self.events.append(("deadlock", t, stuck.tolist()))
+
+    def on_run_end(self, result):
+        self.events.append(("end", result.deadlocked))
+
+
+def test_steploop_probes_see_deadlock_before_run_end():
+    loop = _serial_loop([0, 0], max_steps=100)
+    loop.probes = probes = _Lifecycle()
+    loop.run(lambda t, active: np.zeros(1, dtype=bool))
+    loop.results()
+    assert probes.events == [("deadlock", 1, [0, 1]), ("end", True)]
+
+
+def test_steploop_probe_abort_stops_and_is_annotated():
+    loop = _serial_loop([0], max_steps=100)
+    loop.probes = probes = _Lifecycle(abort_after=3)
+    seen = []
+
+    def body(t, active):
+        seen.append(t)
+        probes.step(t)
+        return np.ones(1, dtype=bool)
+
+    loop.run(body)
+    (result,) = loop.results()
+    assert seen == [1, 2, 3]
+    assert result.extra["telemetry_abort"] == "stop at 3"
+    assert result.hit_step_cap and not result.deadlocked
+    assert result.steps_executed == 3
+    assert probes.events == [("end", False)]
 
 
 def test_age_priorities_orders_by_release_then_index():
@@ -327,6 +403,23 @@ def test_single_kernel_site():
         if "np.lexsort((prio" in p.read_text()
     ]
     assert hits == ["engine.py"]
+
+
+def test_single_step_loop_class():
+    """One step loop: every router runs on BatchStepLoop (T = 1 serially)."""
+    import pathlib
+    import re
+
+    import repro.sim as sim_pkg
+
+    sim_dir = pathlib.Path(sim_pkg.__file__).parent
+    loops = sorted(
+        (p.name, name)
+        for p in sim_dir.glob("*.py")
+        for name in re.findall(r"^class (\w*StepLoop\w*)", p.read_text(), re.M)
+    )
+    assert loops == [("engine.py", "BatchStepLoop")]
+    assert not hasattr(sim_pkg, "StepLoop")
 
 
 # ----------------------------------------------------------------------
@@ -380,13 +473,13 @@ def test_grant_accepts_per_contender_capacity():
 
 
 def test_batch_arbiter_matches_independent_serial_arbiters():
-    from repro.sim.engine import BatchSlotArbiter
-
     rng = np.random.default_rng(0)
     num_slots = np.array([4, 6, 4], dtype=np.int64)
     caps = np.array([1, 2, 3], dtype=np.int64)
     batch = BatchSlotArbiter(num_slots, caps)
-    serial = [SlotArbiter(int(n), int(c)) for n, c in zip(num_slots, caps)]
+    # Each trial on its own: a plain occupancy array and the reference
+    # per-slot grant rule.
+    serial = [np.zeros(int(n), dtype=np.int64) for n in num_slots]
     for _ in range(50):
         n = int(rng.integers(1, 10))
         trials = rng.integers(0, 3, size=n).astype(np.int64)
@@ -399,26 +492,24 @@ def test_batch_arbiter_matches_independent_serial_arbiters():
         for tr in range(3):
             sel = trials == tr
             if sel.any():
-                want[sel] = serial[tr].contend(slots[sel], prio[sel])
+                want[sel] = grant_free_slots_reference(
+                    slots[sel], prio[sel], int(caps[tr]), serial[tr]
+                )
         assert np.array_equal(got, want)
         batch.acquire(trials[got], slots[got])
         for tr in range(3):
-            sel = (trials == tr) & got
-            serial[tr].acquire(slots[sel])
+            np.add.at(serial[tr], slots[(trials == tr) & got], 1)
         # Randomly vacate some grants to keep occupancy in flux.
         drop = got & (rng.random(n) < 0.5)
         batch.vacate(trials[drop], slots[drop])
         for tr in range(3):
-            sel = (trials == tr) & drop
-            serial[tr].vacate(slots[sel])
+            np.subtract.at(serial[tr], slots[(trials == tr) & drop], 1)
         for tr in range(3):
             lo, hi = batch.offsets[tr], batch.offsets[tr + 1]
-            assert np.array_equal(batch.occupancy[lo:hi], serial[tr].occupancy)
+            assert np.array_equal(batch.occupancy[lo:hi], serial[tr])
 
 
 def test_batch_arbiter_rejects_bad_shapes():
-    from repro.sim.engine import BatchSlotArbiter
-
     with pytest.raises(NetworkError, match="equal length"):
         BatchSlotArbiter(np.array([2, 3]), np.array([1]))
     with pytest.raises(NetworkError, match="capacity"):
@@ -431,8 +522,6 @@ def test_batch_arbiter_rejects_bad_shapes():
 
 
 def test_batchsteploop_finalizes_trials_independently():
-    from repro.sim.engine import BatchStepLoop
-
     release = np.zeros(1, dtype=np.int64)
     # Trial 0 finishes at step 2, trial 1 deadlocks at step 1, trial 2
     # runs to its cap of 3.
@@ -460,8 +549,6 @@ def test_batchsteploop_finalizes_trials_independently():
 
 
 def test_batchsteploop_jumps_shared_clock_over_idle_gap():
-    from repro.sim.engine import BatchStepLoop
-
     release = np.array([50], dtype=np.int64)
     loop = BatchStepLoop(2, 1, release, np.array([100, 100]))
     seen = []
@@ -478,8 +565,6 @@ def test_batchsteploop_jumps_shared_clock_over_idle_gap():
 
 
 def test_batchsteploop_release_at_or_past_cap_sets_cap_flag():
-    from repro.sim.engine import BatchStepLoop
-
     release = np.array([40], dtype=np.int64)
     loop = BatchStepLoop(2, 1, release, np.array([10, 100]))
 

@@ -7,7 +7,6 @@ the simulator's RNG stream).
 """
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -119,48 +118,3 @@ class TestOtherEngineInvariance:
             return router.run(demands, 4, telemetry=telemetry).result
 
         assert_results_identical(run(None), run(standard_collectors()))
-
-
-class TestDeprecatedShims:
-    """The legacy record_* kwargs still work, warn, and match exactly."""
-
-    def make(self):
-        net, walks = chain_bundle(2, 3, 3)
-        paths = paths_from_node_walks(net, walks)
-        return net, paths
-
-    def test_record_trace_shim(self):
-        net, paths = self.make()
-        with pytest.deprecated_call(match="record_trace"):
-            legacy = WormholeSimulator(net, 1, seed=0).run(
-                paths, 4, record_trace=True
-            )
-        snap = TraceSnapshotCollector()
-        modern = WormholeSimulator(net, 1, seed=0).run(
-            paths, 4, telemetry=[snap]
-        )
-        assert_results_identical(legacy, modern)
-        assert np.array_equal(legacy.extra["trace"], snap.matrix)
-
-    def test_record_contention_shim(self):
-        net, paths = self.make()
-        with pytest.deprecated_call(match="record_contention"):
-            legacy = WormholeSimulator(net, 1, seed=0).run(
-                paths, 4, record_contention=True
-            )
-        cont = EdgeContentionCollector()
-        modern = WormholeSimulator(net, 1, seed=0).run(
-            paths, 4, telemetry=[cont]
-        )
-        assert_results_identical(legacy, modern)
-        assert np.array_equal(legacy.extra["edge_contention"], cont.denied)
-
-    def test_shims_compose_with_telemetry(self):
-        net, paths = self.make()
-        cont = EdgeContentionCollector()
-        with pytest.deprecated_call(match="record_trace"):
-            res = WormholeSimulator(net, 1, seed=0).run(
-                paths, 4, record_trace=True, telemetry=[cont]
-            )
-        assert "trace" in res.extra
-        assert cont.denied.sum() == res.total_blocked_steps
